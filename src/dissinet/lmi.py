@@ -9,15 +9,18 @@ every constraint has been re-evaluated from scratch and passed an
 eigenvalue check.  The solver never claims infeasibility; when the budget
 runs out the status is ``Unknown``.
 
-Search strategy, in order:
-
-1. a deterministic scan of cheap candidate assignments (scaled identities
-   for symmetric variables, zero for rectangular ones),
-2. spectral subgradient ascent on the minimum constraint eigenvalue, using
-   the eigenvector of the active constraint and diminishing steps,
-3. alternating projections between the affine expression manifold and the
-   product of shifted PSD cones (the workhorse in practice), and
-4. seeded random restarts of 2 and 3.
+Search method: one phase-I problem solved by a barrier method.  With
+``b_j`` the margin constraint j requires, it maximizes ``t`` subject to
+``expr_j(x) - b_j I >= t I`` and a norm bound ``|x|^2 <= rho^2`` that keeps
+the problem bounded.  Damped Newton steps minimize ``-mu t`` plus the
+log-det barrier of every slack, and the path parameter ``mu`` grows between
+centering rounds (Boyd & Vandenberghe, *Convex Optimization*, 2004, sec.
+11.4 and 11.6; Vandenberghe & Boyd, "Semidefinite Programming", SIAM Review
+38(1), 1996).  The search starts at the warm start if one is given, else at
+scaled identities for symmetric variables and zero for rectangular ones, and
+returns that point unchanged when it already verifies.  It stops as soon as
+``t > 0``, or once the barrier's duality gap is below the verification
+slack.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "ConstraintReport",
     "evaluate",
     "verify",
+    "judge",
     "solve",
 ]
 
@@ -271,6 +275,7 @@ class LmiSolution:
     achieved_margin: float
     status: str
     reports: list = field(default_factory=list)
+    iterations: int = 0   # Newton steps taken; 0 when the start point held
 
     @property
     def verified(self):
@@ -279,15 +284,18 @@ class LmiSolution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    # restarts counts extra descent attempts after the first; the first of
-    # them is the deterministic long-subgradient escalation, the rest are
-    # seeded random restarts.
+    """``max_iters`` caps the Newton steps and ``initial`` is the start point.
+
+    ``restarts``, ``rng_seed`` and ``subgradient_iters`` are accepted for
+    compatibility and have no effect: the barrier method is deterministic.
+    """
+
     max_iters: int = 3000
     restarts: int = 3
     rng_seed: int = 0
     target_margin: float = None
     subgradient_iters: int = 120
-    initial: dict = None  # warm-start assignment, tried first and used as seed point
+    initial: dict = None
 
 
 def evaluate(expr, assignment):
@@ -333,7 +341,15 @@ def _required_margins(problem, target_margin):
 
 
 class _Compiled:
-    """Flattened view: x in R^d, constraint j evaluates to mat(A_j x + c_j)."""
+    """Phase-I view of a problem over ``z = (x, t)``, x packing the variables.
+
+    Constraint j becomes the slack ``F_j(x) - (b_j + t) I``, affine in z, with
+    ``b_j`` its required margin.  The 1x1 constraints form one system of
+    linear inequalities ``c + G z > 0``.  The larger ones are padded with an
+    identity block to the largest size ``n`` and stacked as constants ``C``
+    (J, n, n) and derivatives ``D`` (J, d + 1, n, n), the last derivative
+    being the ``-I`` of t; a padded block adds nothing to the barrier.
+    """
 
     def __init__(self, problem, target_margin):
         self.variables = list(problem.variables)
@@ -343,27 +359,36 @@ class _Compiled:
             self.offsets[v.name] = d
             d += v.dof
         self.dim = d
-        self.norm_exprs = [c.normalized_expr() for c in problem.constraints]
-        self.required = _required_margins(problem, target_margin)
-        self.sizes = [e.dim for e in self.norm_exprs]
-        self.consts = [e.constant for e in self.norm_exprs]
-        self.maps = []
         var_by_name = {v.name: v for v in self.variables}
-        for e in self.norm_exprs:
-            A = np.zeros((e.dim * e.dim, d))
-            for t in e.terms:
-                v = var_by_name[t.var]
-                base = self.offsets[v.name]
+        exprs = [c.normalized_expr() for c in problem.constraints]
+        # Symmetric variables start at this multiple of the identity.
+        self.start_scale = float(np.mean(
+            [1.0 + float(np.max(np.abs(e.constant))) for e in exprs]))
+        # Barrier parameter: total slack dimension plus one for the norm bound.
+        self.degree = 1 + sum(e.dim for e in exprs)
+        n = max(e.dim for e in exprs)
+        consts, derivs, lin_c, lin_G = [], [], [], []
+        for e, b in zip(exprs, _required_margins(problem, target_margin)):
+            s = e.dim
+            C = np.eye(n)
+            C[:s, :s] = e.constant - b * np.eye(s)
+            D = np.zeros((d + 1, n, n))
+            for term in e.terms:
+                v = var_by_name[term.var]
                 for k, Bk in enumerate(v.basis()):
-                    A[:, base + k] += t.apply(Bk).reshape(-1)
-            self.maps.append(A)
-        self.stacked_map = np.vstack(self.maps)
-        self.stacked_const = np.concatenate([c.reshape(-1) for c in self.consts])
-        # Min-norm least-squares back-projection onto the expression manifold.
-        self.pinv_map = np.linalg.pinv(self.stacked_map, rcond=1e-12)
-        self.scales = np.array(
-            [1.0 + float(np.max(np.abs(c))) if c.size else 1.0 for c in self.consts]
-        )
+                    D[self.offsets[v.name] + k, :s, :s] += term.apply(Bk)
+            D[d, :s, :s] = -np.eye(s)
+            if s == 1:
+                lin_c.append(C[0, 0])
+                lin_G.append(D[:, 0, 0])
+            else:
+                consts.append(C)
+                derivs.append(D)
+        self.linear = (np.array(lin_c), np.array(lin_G)) if lin_c else None
+        self.blocks = (np.array(consts), np.array(derivs)) if consts else None
+        # E @ trace_weights sums the traces of the whitened derivatives.
+        self.trace_weights = np.concatenate(
+            [np.ones(len(lin_c)), np.tile(np.eye(n).reshape(-1), len(consts))])
 
     def pack(self, assignment):
         x = np.zeros(self.dim)
@@ -379,169 +404,135 @@ class _Compiled:
             out[v.name] = v.unpack(x[self.offsets[v.name] : self.offsets[v.name] + v.dof])
         return out
 
-    def eval_mats(self, x):
-        mats = []
-        for A, c, s in zip(self.maps, self.consts, self.sizes):
-            mats.append(symmetrize((A @ x).reshape(s, s) + c))
-        return mats
+    def start(self, initial):
+        if initial is not None:
+            return self.pack(initial)
+        return self.pack({
+            v.name: self.start_scale * np.eye(v.shape[0]) if v.kind == "symmetric"
+            else np.zeros(v.shape)
+            for v in self.variables
+        })
 
-    def slacks(self, x):
-        """Per-constraint min eigenvalue minus required margin."""
-        out = np.empty(len(self.maps))
-        for j, M in enumerate(self.eval_mats(x)):
-            w = np.linalg.eigvalsh(M)
-            out[j] = w[0] - self.required[j]
-        return out
+    def whitened(self, z):
+        """Whitened derivatives at z and the gradient of the log-det barrier.
 
-    def worst(self, x):
-        s = self.slacks(x)
-        j = int(np.argmin(s))
-        return j, float(s[j])
-
-
-def _candidate_assignments(compiled):
-    """Deterministic cheap candidates: identities scaled by the mean
-    constant-term norm and a coarse magnitude grid, rectangulars at zero."""
-    base = float(np.mean(compiled.scales))
-    for kappa in (base, 1.0, 0.0, 1e-2, 0.1, 10.0, 100.0, 1e3, 1e-3):
-        assignment = {}
-        for v in compiled.variables:
-            if v.kind == "symmetric":
-                assignment[v.name] = kappa * np.eye(v.shape[0])
-            else:
-                assignment[v.name] = np.zeros(v.shape)
-        yield assignment
-
-
-def _subgradient_ascent(compiled, x0, iters):
-    """Maximize min_j (lambda_min_j(x) - b_j) by spectral subgradient steps."""
-    x = x0.copy()
-    best_x = x.copy()
-    _, best_val = compiled.worst(x)
-    step0 = 0.5 * (1.0 + float(np.linalg.norm(x0)))
-    for k in range(iters):
-        mats = compiled.eval_mats(x)
-        slack = np.array(
-            [np.linalg.eigvalsh(M)[0] for M in mats]
-        ) - compiled.required
-        j = int(np.argmin(slack))
-        val = float(slack[j])
-        if val > best_val:
-            best_val = val
-            best_x = x.copy()
-        if val > 0:
-            break
-        w, V = np.linalg.eigh(mats[j])
-        v = V[:, 0]
-        g = compiled.maps[j].T @ np.outer(v, v).reshape(-1)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14:
-            break
-        x = x + (step0 / np.sqrt(1.0 + k)) * (g / gn)
-    return best_x, best_val
+        Row k of ``E`` stacks ``L^-1 D_k L^-T`` over every slack ``L L^T``,
+        so the barrier's Hessian is ``E E^T``.  None when some slack is not
+        positive definite.
+        """
+        cols = []
+        if self.linear is not None:
+            c, G = self.linear
+            s = c + G @ z
+            if not np.all(s > 0):
+                return None
+            cols.append((G / s[:, None]).T)
+        if self.blocks is not None:
+            C, D = self.blocks
+            J, k, n, _ = D.shape
+            S = C + (z @ D.reshape(J, k, n * n)).reshape(J, n, n)
+            try:
+                L = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                return None
+            Li = np.linalg.inv(L)[:, None]
+            W = Li @ D @ Li.transpose(0, 1, 3, 2)
+            cols.append(W.transpose(1, 0, 2, 3).reshape(k, J * n * n))
+        E = np.hstack(cols)
+        return E, -(E @ self.trace_weights)
 
 
-def _alternating_projections(compiled, x0, max_iters):
-    """Project between the PSD slabs (eigenvalue clipping above a lifted
-    floor) and the affine manifold of expression values (least squares).
+# Radius of the norm bound on x, relative to 1 + |x0|.
+BALL_FACTOR = 1e3
+# Growth of the path parameter between centering rounds.
+PATH_GROWTH = 10.0
+# Squared Newton decrement below which a point counts as centered.
+CENTERED = 1e-3
+# Smallest damped step tried before giving up on a direction.
+MIN_STEP = 1e-12
+# The first t lies this fraction of |worst slack| below the start point's
+# worst slack, and the first mu puts the central point's gap at that distance.
+START_GAP = 0.1
 
-    Runs rounds with shrinking lift so that strictly feasible problems
-    converge fast and boundary-feasible problems are still reached.
-    Returns the first iterate whose true slacks pass verification, else the
-    best iterate seen.
+
+def _phase_one(compiled, x0, t0, mu, max_steps):
+    """Maximize t over ``F_j(x) - b_j I >= t I`` and ``|x|^2 <= rho^2``.
+
+    Damped Newton steps on ``-mu t - sum_j log det(slack_j) - log(rho^2 -
+    |x|^2)``, with mu raised by ``PATH_GROWTH`` after each centering (Boyd &
+    Vandenberghe 2004, sec. 11.3-11.6).  Stops as soon as t > 0, once the
+    duality gap ``degree / mu`` of a centered point is below the verification
+    slack, or after ``max_steps`` steps.  Returns the last point and the
+    number of steps.
     """
-    lifts = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 0.0)
-    iters_per_round = max(max_iters // len(lifts), 50)
-    x = x0.copy()
-    best_x = x.copy()
-    _, best_val = compiled.worst(x)
-    for lift_rel in lifts:
-        floors = compiled.required + lift_rel * compiled.scales
-        for _ in range(iters_per_round):
-            mats = compiled.eval_mats(x)
-            slack_min = np.inf
-            clipped = []
-            for j, M in enumerate(mats):
-                w, V = np.linalg.eigh(M)
-                slack_min = min(slack_min, float(w[0]) - compiled.required[j])
-                w_clipped = np.maximum(w, floors[j])
-                clipped.append(((V * w_clipped) @ V.T).reshape(-1))
-            if slack_min > best_val:
-                best_val = slack_min
-                best_x = x.copy()
-            if slack_min >= -VERIFY_SLACK:
-                return best_x, best_val
-            target = np.concatenate(clipped) - compiled.stacked_const
-            x_new = compiled.pinv_map @ target
-            if float(np.linalg.norm(x_new - x)) < 1e-14 * (1.0 + np.linalg.norm(x)):
+    d = compiled.dim
+    z = np.append(x0, t0)
+    rho2 = (BALL_FACTOR * (1.0 + float(np.linalg.norm(x0)))) ** 2
+    terms = compiled.whitened(z)   # None only if rounding puts z0 on the boundary
+    steps = 0
+    while terms is not None and steps < max_steps:
+        E, g = terms
+        x = z[:d]
+        r = rho2 - float(x @ x)
+        H = E @ E.T
+        H[:d, :d] += (2.0 / r) * np.eye(d) + (4.0 / r**2) * np.outer(x, x)
+        g[:d] += (2.0 / r) * x
+        g[d] -= mu
+        dz = -np.linalg.solve(H, g)
+        lam2 = float(-g @ dz)
+        # Full steps once the decrement is below 1/4, where Newton converges
+        # quadratically; damped steps 1/(1 + lambda) before that keep a
+        # self-concordant barrier inside its domain.  Halving only guards
+        # against rounding at the boundary.
+        alpha = 1.0 if lam2 < 0.0625 else 1.0 / (1.0 + np.sqrt(lam2))
+        terms = None
+        while terms is None and alpha > MIN_STEP:
+            z_new = z + alpha * dz
+            x_new = z_new[:d]
+            terms = compiled.whitened(z_new) if x_new @ x_new < rho2 else None
+            alpha *= 0.5
+        if terms is None:
+            break   # rounding has pinned z to the boundary
+        z = z_new
+        steps += 1
+        if z[d] > 0:
+            break
+        if lam2 < CENTERED:
+            if compiled.degree / mu < VERIFY_SLACK:
                 break
-            x = x_new
-    return best_x, best_val
+            mu *= PATH_GROWTH
+    return z, steps
+
+
+def judge(problem, assignment, target_margin=None, iterations=0):
+    """Verify an assignment and wrap it as a solution: ``Verified`` when every
+    constraint passes :func:`verify`, ``Unknown`` otherwise."""
+    reports = verify(problem, assignment, target_margin=target_margin)
+    return LmiSolution(
+        assignment=assignment,
+        achieved_margin=float(min(r.min_eig - r.required for r in reports)),
+        status="Verified" if all(r.ok for r in reports) else "Unknown",
+        reports=reports,
+        iterations=iterations,
+    )
 
 
 def solve(problem, options=None):
-    """Search for a verified feasible assignment.
+    """Search for a verified feasible assignment by the phase-I barrier method.
 
-    Deterministic for a fixed ``options.rng_seed``.  Returns Verified only
-    when :func:`verify` passes on every constraint; otherwise Unknown
-    (never an infeasibility claim).
+    Deterministic.  Returns Verified only when :func:`verify` passes on every
+    constraint; otherwise Unknown (never an infeasibility claim).
     """
-    if options is None:
-        options = SolveOptions()
+    options = options or SolveOptions()
     compiled = _Compiled(problem, options.target_margin)
-
-    def finish(x):
-        assignment = compiled.unpack(x)
-        reports = verify(problem, assignment, target_margin=options.target_margin)
-        ok = all(r.ok for r in reports)
-        achieved = min(r.min_eig - r.required for r in reports)
-        return LmiSolution(
-            assignment=assignment,
-            achieved_margin=float(achieved),
-            status="Verified" if ok else "Unknown",
-            reports=reports,
-        )
-
-    candidates = list(_candidate_assignments(compiled))
-    if options.initial is not None:
-        candidates.insert(0, options.initial)
-    for cand in candidates:
-        x = compiled.pack(cand)
-        _, val = compiled.worst(x)
-        if val >= -VERIFY_SLACK:
-            sol = finish(x)
-            if sol.verified:
-                return sol
-
-    rng = np.random.default_rng(options.rng_seed)
-    best_sol = None
-    best_x = compiled.pack(candidates[0])
-    x_start = best_x
-    for attempt in range(max(2, options.restarts + 1)):
-        if attempt == 1:
-            # Escalation: a long subgradient run from the best point seen;
-            # rescues thin feasible regions that projections walk slowly.
-            x_start = best_x
-            sg_iters = max(20 * options.subgradient_iters, 2400)
-        else:
-            sg_iters = options.subgradient_iters
-            if attempt > 1:
-                start = {}
-                for v in compiled.variables:
-                    if v.kind == "symmetric":
-                        kappa = 10.0 ** rng.uniform(-2, 2)
-                        sign = 1.0 if rng.random() < 0.5 else -1.0
-                        noise = rng.standard_normal(v.shape) * 0.1 * kappa
-                        start[v.name] = sign * kappa * np.eye(v.shape[0]) + symmetrize(noise)
-                    else:
-                        start[v.name] = rng.standard_normal(v.shape) * 0.1
-                x_start = compiled.pack(start)
-        x_sg, _ = _subgradient_ascent(compiled, x_start, sg_iters)
-        x_ap, _ = _alternating_projections(compiled, x_sg, options.max_iters)
-        sol = finish(x_ap)
-        if sol.verified:
-            return sol
-        if best_sol is None or sol.achieved_margin > best_sol.achieved_margin:
-            best_sol = sol
-            best_x = x_ap
-    return best_sol
+    x0 = compiled.start(options.initial)
+    sol = judge(problem, compiled.unpack(x0), options.target_margin)
+    if sol.verified:
+        return sol
+    # The start point misses some margin, so its worst slack s0 is negative.
+    s0 = sol.achieved_margin
+    gap = START_GAP * abs(s0)
+    z, steps = _phase_one(compiled, x0, s0 - gap, compiled.degree / gap,
+                          options.max_iters)
+    return judge(problem, compiled.unpack(z[:-1]), options.target_margin,
+                 iterations=steps)

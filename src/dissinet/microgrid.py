@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .network import (
     simulate,
     stability_report,
 )
-from .synthesis import SynthesisOptions, joint_decentralized_synthesis
+from .synthesis import joint_decentralized_synthesis
 
 __all__ = [
     "DguParams",
@@ -274,31 +273,13 @@ def _baseline_gains(spec):
     return [np.array([[0.0, rng.uniform(-1.1, -0.9)]]) for _ in range(spec.n_dgus)]
 
 
-def _synthesis_threads():
-    raw = os.environ.get("DISSINET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _synthesize_all(spec, dt_nodes, degrees):
-    """Per-node joint synthesis; parallelism capped by DISSINET_THREADS."""
-
-    def job(i):
-        opts = SynthesisOptions(seed=spec.synth_seed + i)
-        return joint_decentralized_synthesis(
-            dt_nodes[i], spec.variant, degrees[i],
-            alpha=spec.alpha, s_shared=spec.s_shared, options=opts,
-        )
-
-    workers = _synthesis_threads()
-    indices = range(spec.n_dgus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, indices))
-    else:
-        results = [job(i) for i in indices]
+    """Per-node joint synthesis; returns the certificates and failed indices."""
+    results = [
+        joint_decentralized_synthesis(
+            node, spec.variant, degree, alpha=spec.alpha, s_shared=spec.s_shared)
+        for node, degree in zip(dt_nodes, degrees)
+    ]
     certificates = [r[0] if r is not None else None for r in results]
     failures = [i for i, r in enumerate(results) if r is None]
     return certificates, failures

@@ -37,6 +37,7 @@ from .lmi import (
     LmiProblem,
     MatrixVariable,
     SolveOptions,
+    judge,
     solve,
 )
 from .matrix_core import definiteness, eig_sym, symmetrize
@@ -58,6 +59,10 @@ TRACE_CAP_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class SynthesisOptions:
+    """``max_iters`` caps the solver's Newton steps.  ``seed``, ``restarts``
+    and ``subgradient_iters`` are accepted for compatibility and have no
+    effect: the solver is deterministic."""
+
     seed: int = 0
     max_iters: int = 3000
     restarts: int = 3
@@ -109,28 +114,23 @@ def _auto_margin(consts):
     return 1e-6 * (1.0 + scale)
 
 
-def _solve_with_margin_fallback(build_problem, options, initial=None):
-    """Try the relative margin first, then a tighter and a zero margin.
+def _solve_with_margin_fallback(problem, consts, options, initial=None):
+    """Solve once at the relative margin; when the point falls short, judge
+    it again at a tighter and at a zero margin.
 
     Boundary-feasible problems (the dissipation inequality can hold with
-    equality only) are reachable only at margin zero.
+    equality only) verify only at margin zero.
     """
-    consts = build_problem(0.0)[1]
     base = options.margin if options.margin is not None else _auto_margin(consts)
-    margins = [base] if options.margin is not None else [base, base * 1e-3, 0.0]
-    solve_opts = SolveOptions(
-        max_iters=options.max_iters,
-        restarts=options.restarts,
-        rng_seed=options.seed,
-        subgradient_iters=options.subgradient_iters,
-        initial=initial,
-    )
-    for margin in margins:
-        problem, _ = build_problem(margin)
-        sol = solve(problem, solve_opts)
-        if sol is not None and sol.verified:
-            return sol
-    return None
+    lower = [] if options.margin is not None else [base * 1e-3, 0.0]
+    sol = solve(problem, SolveOptions(max_iters=options.max_iters,
+                                      target_margin=base, initial=initial))
+    for margin in lower:
+        if sol.verified:
+            break
+        sol = judge(problem, sol.assignment, target_margin=margin,
+                    iterations=sol.iterations)
+    return sol if sol.verified else None
 
 
 def _invert_pd(P, name="P"):
@@ -142,7 +142,7 @@ def _invert_pd(P, name="P"):
 
 def _certificate(node, sr, P, Z, check_tol, variant, dual_supply=None):
     storage = _invert_pd(P)
-    K = Z @ _invert_pd(P)
+    K = Z @ storage
     gap = closed_loop_dissipation_gap(node, K, sr, storage)
     if gap > check_tol:
         return None
@@ -189,32 +189,29 @@ def primal_control(node, sr, options=None):
     Q_tilde = -_invert_pd(-sr.Q, name="-Q")
     n, r, m, p = node.n, node.r, node.m, node.p
 
-    def build(margin):
-        form = BlockForm([n, n, m, p])
-        form.put_var(0, 0, "P")
-        form.put_var(0, 1, "P", left=node.A)
-        form.put_var(0, 1, "Z", left=node.B)
-        form.put_const(0, 2, node.G)
-        form.put_var(1, 1, "P")
-        form.put_var(1, 2, "P", right=node.C.T @ sr.S)
-        form.put_var(1, 3, "P", right=node.C.T)
-        form.put_const(2, 2, sr.R)
-        form.put_const(3, 3, -Q_tilde)
-        pos = BlockForm([n]).put_var(0, 0, "P")
-        problem = LmiProblem(
-            variables=[
-                MatrixVariable("P", (n, n), "symmetric"),
-                MatrixVariable("Z", (r, n), "rectangular"),
-            ],
-            constraints=[
-                LmiConstraint(form.expr(), "geq", name="dissipative_design"),
-                LmiConstraint(pos.expr(), "geq", name="P_pd"),
-            ],
-            margin=margin,
-        )
-        return problem, [form.expr().constant]
-
-    sol = _solve_with_margin_fallback(build, options)
+    form = BlockForm([n, n, m, p])
+    form.put_var(0, 0, "P")
+    form.put_var(0, 1, "P", left=node.A)
+    form.put_var(0, 1, "Z", left=node.B)
+    form.put_const(0, 2, node.G)
+    form.put_var(1, 1, "P")
+    form.put_var(1, 2, "P", right=node.C.T @ sr.S)
+    form.put_var(1, 3, "P", right=node.C.T)
+    form.put_const(2, 2, sr.R)
+    form.put_const(3, 3, -Q_tilde)
+    design = form.expr()
+    pos = BlockForm([n]).put_var(0, 0, "P")
+    problem = LmiProblem(
+        variables=[
+            MatrixVariable("P", (n, n), "symmetric"),
+            MatrixVariable("Z", (r, n), "rectangular"),
+        ],
+        constraints=[
+            LmiConstraint(design, "geq", name="dissipative_design"),
+            LmiConstraint(pos.expr(), "geq", name="P_pd"),
+        ],
+    )
+    sol = _solve_with_margin_fallback(problem, [design.constant], options)
     if sol is None:
         return None
     return _certificate(
@@ -270,23 +267,19 @@ def dual_control(node, dsr, options=None):
         raise ValueError("dual synthesis requires dual R > 0")
     n, r = node.n, node.r
 
-    def build(margin):
-        form = _dual_form(node, Sd_fixed=dsr.S, Qd_fixed=dsr.Q, Rd_fixed=dsr.R)
-        pos = BlockForm([n]).put_var(0, 0, "P")
-        problem = LmiProblem(
-            variables=[
-                MatrixVariable("P", (n, n), "symmetric"),
-                MatrixVariable("Z", (r, n), "rectangular"),
-            ],
-            constraints=[
-                LmiConstraint(form.expr(), "geq", name="dual_design"),
-                LmiConstraint(pos.expr(), "geq", name="P_pd"),
-            ],
-            margin=margin,
-        )
-        return problem, [form.expr().constant]
-
-    sol = _solve_with_margin_fallback(build, options)
+    design = _dual_form(node, Sd_fixed=dsr.S, Qd_fixed=dsr.Q, Rd_fixed=dsr.R).expr()
+    pos = BlockForm([n]).put_var(0, 0, "P")
+    problem = LmiProblem(
+        variables=[
+            MatrixVariable("P", (n, n), "symmetric"),
+            MatrixVariable("Z", (r, n), "rectangular"),
+        ],
+        constraints=[
+            LmiConstraint(design, "geq", name="dual_design"),
+            LmiConstraint(pos.expr(), "geq", name="P_pd"),
+        ],
+    )
+    sol = _solve_with_margin_fallback(problem, [design.constant], options)
     if sol is None:
         return None
     primal = primalize_supply(dsr)
@@ -336,102 +329,99 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
     elif variant == "b":
         Sd_fixed = s_shared
 
-    def build(margin):
-        form = _dual_form(node, Sd_fixed=Sd_fixed)
-        variables = [
-            MatrixVariable("P", (n, n), "symmetric"),
-            MatrixVariable("Z", (r, n), "rectangular"),
-            MatrixVariable("Qd", (p, p), "symmetric"),
-            MatrixVariable("Rd", (m, m), "symmetric"),
-        ]
-        if Sd_fixed is None:
-            variables.append(MatrixVariable("Sd", (p, p), "symmetric"))
-        constraints = [
-            LmiConstraint(form.expr(), "geq", name="dual_design"),
-            LmiConstraint(BlockForm([n]).put_var(0, 0, "P").expr(), "geq",
-                          name="P_pd"),
-            LmiConstraint(BlockForm([p]).put_var(0, 0, "Qd", scale=-1.0).expr(),
-                          "geq", name="Qd_nd"),
-            LmiConstraint(BlockForm([m]).put_var(0, 0, "Rd").expr(), "geq",
-                          name="Rd_pd"),
-        ]
-        if variant in ("a", "b", "c"):
-            lower = (
-                BlockForm([p])
-                .put_var(0, 0, "Qd")
-                .put_const(0, 0, eye / (2.0 * degree))
-            )
-            constraints.append(
-                LmiConstraint(lower.expr(), "geq", name="Qd_window")
-            )
-        if variant == "a":
-            alpha_t = max(1.0 - alpha, 0.0)
-            grow = (
-                BlockForm([m])
-                .put_var(0, 0, "Rd")
-                .put_const(0, 0, -2.0 * degree * alpha_t * np.eye(m))
-            )
-            constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-        elif variant == "b":
-            grow = (
-                BlockForm([m])
-                .put_var(0, 0, "Rd")
-                .put_const(0, 0, -2.0 * degree * np.eye(m))
-            )
-            constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-        elif variant == "c":
-            constraints.append(
-                LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
-                              margin=0.0, name="Sd_psd")
-            )
-            s_cap = (
-                BlockForm([p])
-                .put_var(0, 0, "Sd", scale=-1.0)
-                .put_const(0, 0, eye / (3.0 * degree))
-            )
-            constraints.append(LmiConstraint(s_cap.expr(), "geq", name="Sd_cap"))
-            grow = (
-                BlockForm([m])
-                .put_var(0, 0, "Rd")
-                .put_var(0, 0, "Sd", scale=-1.0)
-                .put_const(0, 0, -4.0 * degree * np.eye(m))
-            )
-            constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-        elif variant == "d":
-            constraints.append(
-                LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
-                              margin=0.0, name="Sd_psd")
-            )
-            window = (
-                BlockForm([p])
-                .put_var(0, 0, "Qd")
-                .put_var(0, 0, "Sd", scale=-1.0)
-                .put_const(0, 0, eye / (2.0 * degree))
-            )
-            constraints.append(LmiConstraint(window.expr(), "geq", name="Qd_window"))
-            gap = (
-                BlockForm([m])
-                .put_var(0, 0, "Rd")
-                .put_var(0, 0, "Sd", scale=-2.0)
-            )
-            constraints.append(LmiConstraint(gap.expr(), "geq", name="Rd_vs_Sd"))
-            grow = (
-                BlockForm([m])
-                .put_var(0, 0, "Rd")
-                .put_const(0, 0, -4.0 * degree * np.eye(m))
-            )
-            constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-        trace_cap = BlockForm([1]).put_const(0, 0, [[TRACE_CAP_FACTOR * degree]])
-        for k in range(m):
-            e_k = np.zeros((1, m))
-            e_k[0, k] = 1.0
-            trace_cap.put_var(0, 0, "Rd", left=e_k, right=e_k.T, scale=-1.0)
-        constraints.append(
-            LmiConstraint(trace_cap.expr(), "geq", margin=0.0, name="Rd_trace_cap")
+    design = _dual_form(node, Sd_fixed=Sd_fixed).expr()
+    variables = [
+        MatrixVariable("P", (n, n), "symmetric"),
+        MatrixVariable("Z", (r, n), "rectangular"),
+        MatrixVariable("Qd", (p, p), "symmetric"),
+        MatrixVariable("Rd", (m, m), "symmetric"),
+    ]
+    if Sd_fixed is None:
+        variables.append(MatrixVariable("Sd", (p, p), "symmetric"))
+    constraints = [
+        LmiConstraint(design, "geq", name="dual_design"),
+        LmiConstraint(BlockForm([n]).put_var(0, 0, "P").expr(), "geq",
+                      name="P_pd"),
+        LmiConstraint(BlockForm([p]).put_var(0, 0, "Qd", scale=-1.0).expr(),
+                      "geq", name="Qd_nd"),
+        LmiConstraint(BlockForm([m]).put_var(0, 0, "Rd").expr(), "geq",
+                      name="Rd_pd"),
+    ]
+    if variant in ("a", "b", "c"):
+        lower = (
+            BlockForm([p])
+            .put_var(0, 0, "Qd")
+            .put_const(0, 0, eye / (2.0 * degree))
         )
-        problem = LmiProblem(variables=variables, constraints=constraints,
-                             margin=margin)
-        return problem, [form.expr().constant, eye / (2.0 * degree)]
+        constraints.append(
+            LmiConstraint(lower.expr(), "geq", name="Qd_window")
+        )
+    if variant == "a":
+        alpha_t = max(1.0 - alpha, 0.0)
+        grow = (
+            BlockForm([m])
+            .put_var(0, 0, "Rd")
+            .put_const(0, 0, -2.0 * degree * alpha_t * np.eye(m))
+        )
+        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
+    elif variant == "b":
+        grow = (
+            BlockForm([m])
+            .put_var(0, 0, "Rd")
+            .put_const(0, 0, -2.0 * degree * np.eye(m))
+        )
+        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
+    elif variant == "c":
+        constraints.append(
+            LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
+                          margin=0.0, name="Sd_psd")
+        )
+        s_cap = (
+            BlockForm([p])
+            .put_var(0, 0, "Sd", scale=-1.0)
+            .put_const(0, 0, eye / (3.0 * degree))
+        )
+        constraints.append(LmiConstraint(s_cap.expr(), "geq", name="Sd_cap"))
+        grow = (
+            BlockForm([m])
+            .put_var(0, 0, "Rd")
+            .put_var(0, 0, "Sd", scale=-1.0)
+            .put_const(0, 0, -4.0 * degree * np.eye(m))
+        )
+        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
+    elif variant == "d":
+        constraints.append(
+            LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
+                          margin=0.0, name="Sd_psd")
+        )
+        window = (
+            BlockForm([p])
+            .put_var(0, 0, "Qd")
+            .put_var(0, 0, "Sd", scale=-1.0)
+            .put_const(0, 0, eye / (2.0 * degree))
+        )
+        constraints.append(LmiConstraint(window.expr(), "geq", name="Qd_window"))
+        gap = (
+            BlockForm([m])
+            .put_var(0, 0, "Rd")
+            .put_var(0, 0, "Sd", scale=-2.0)
+        )
+        constraints.append(LmiConstraint(gap.expr(), "geq", name="Rd_vs_Sd"))
+        grow = (
+            BlockForm([m])
+            .put_var(0, 0, "Rd")
+            .put_const(0, 0, -4.0 * degree * np.eye(m))
+        )
+        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
+    trace_cap = BlockForm([1]).put_const(0, 0, [[TRACE_CAP_FACTOR * degree]])
+    for k in range(m):
+        e_k = np.zeros((1, m))
+        e_k[0, k] = 1.0
+        trace_cap.put_var(0, 0, "Rd", left=e_k, right=e_k.T, scale=-1.0)
+    constraints.append(
+        LmiConstraint(trace_cap.expr(), "geq", margin=0.0, name="Rd_trace_cap")
+    )
+    problem = LmiProblem(variables=variables, constraints=constraints)
 
     # Warm start at the center of the dual-variable windows; P small on the
     # scale the Qd window allows through the output coupling.
@@ -446,7 +436,8 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
     if Sd_fixed is None:
         initial["Sd"] = eye / (6.0 * degree)
 
-    sol = _solve_with_margin_fallback(build, options, initial=initial)
+    sol = _solve_with_margin_fallback(
+        problem, [design.constant, eye / (2.0 * degree)], options, initial=initial)
     if sol is None:
         return None
     Qd = symmetrize(sol.assignment["Qd"])

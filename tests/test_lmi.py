@@ -7,6 +7,7 @@ from dissinet.lmi import (
     BlockForm,
     LmiConstraint,
     LmiProblem,
+    LmiSolution,
     MatrixVariable,
     SandwichTerm,
     SolveOptions,
@@ -186,6 +187,17 @@ class TestSolve:
         sol = solve(prob, SolveOptions(initial={"x": np.array([[42.0]])}))
         assert sol.verified
         assert sol.assignment["x"][0, 0] == pytest.approx(42.0)
+
+    def test_newton_steps_counted_and_capped(self):
+        # a start point that holds takes no step; one that misses the margin
+        # takes at least one, and max_iters caps the count
+        assert LmiSolution({}, 0.0, "Unknown").iterations == 0
+        assert solve(scalar_problem()).iterations == 0
+        sol = solve(scalar_problem(margin=5.0))
+        assert sol.verified
+        assert 1 <= sol.iterations <= 100
+        capped = solve(scalar_problem(margin=5.0), SolveOptions(max_iters=1))
+        assert capped.iterations == 1
 
 
 class TestVerify:

@@ -12,8 +12,16 @@ from dissinet.dissipativity import (
     stabilizability,
     detectability,
 )
+from dissinet import lmi, synthesis
 from dissinet.matrix_core import definiteness
-from dissinet.microgrid import DguParams, dgu_ct_matrices, zoh_discretize
+from dissinet.microgrid import (
+    DguParams,
+    MicrogridSpec,
+    _microgrid_population,
+    build_microgrid,
+    dgu_ct_matrices,
+    zoh_discretize,
+)
 from dissinet.network import dual_decentralized_check
 from dissinet.synthesis import (
     SynthesisOptions,
@@ -217,6 +225,64 @@ class TestPrimalDualConsistency:
             assert gap_d <= 1e-8
             both += 1
         assert both >= 8
+
+
+def recorded_solves(monkeypatch):
+    """Route synthesis through a recorder of every LMI solution."""
+    solutions = []
+
+    def recording(problem, options=None):
+        sol = lmi.solve(problem, options)
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(synthesis, "solve", recording)
+    return solutions
+
+
+class TestMicrogridUnits:
+    @pytest.mark.parametrize("topology_seed,degree", [(2, 1.5), (3, 1.55)])
+    def test_variant_c_certifies_hub(self, topology_seed, degree):
+        # the hubs with the largest weighted degree over these topologies;
+        # a feasible point exists, so the solver must find it
+        net = build_microgrid(MicrogridSpec(n_dgus=200, topology_seed=topology_seed))
+        degrees = -np.diag(net.H())
+        hub = int(np.argmax(degrees))
+        assert degrees[hub] == pytest.approx(degree)
+        node = net.nodes[hub]
+        res = joint_decentralized_synthesis(node, "c", degrees[hub])
+        assert res is not None
+        cert, dsr = res
+        assert dual_decentralized_check(degrees[hub], dsr, "c")
+        gap = closed_loop_dissipation_gap(node, cert.K, cert.supply,
+                                          cert.storage_matrix)
+        assert gap <= 1e-8
+
+    def test_degree_two_units_verify_within_newton_budget(self, monkeypatch):
+        # the degree-2 units (weighted degree 0.1) at h=1e-4 were the slow
+        # tail of the pipeline's synthesis
+        spec = MicrogridSpec(n_dgus=100)
+        bundle, _, ct_nodes = _microgrid_population(spec)
+        units = [i for i, d in enumerate(bundle.degrees) if d == pytest.approx(0.1)]
+        assert units
+        solutions = recorded_solves(monkeypatch)
+        for i in units:
+            node = zoh_discretize(ct_nodes[i], 1e-4)
+            assert joint_decentralized_synthesis(
+                node, spec.variant, bundle.degrees[i], alpha=spec.alpha) is not None
+        assert len(solutions) == len(units)
+        assert all(s.verified and s.iterations <= 100 for s in solutions)
+
+    def test_margin_ladder_solves_once(self, monkeypatch):
+        # the boundary case verifies only at margin zero; the lower ladder
+        # levels judge the one solved point instead of searching again
+        solutions = recorded_solves(monkeypatch)
+        node = LinearNode(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2),
+                          time_domain="dt")
+        dsr = DualSupplyRate(-np.eye(2), np.zeros((2, 2)), np.eye(2))
+        assert dual_control(node, dsr) is not None
+        assert len(solutions) == 1
+        assert not solutions[0].verified
 
 
 class TestSynthesisRequest:
