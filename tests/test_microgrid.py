@@ -316,6 +316,28 @@ class TestBaselineNetworks:
             assert float(np.max(np.abs(1.0 + 1.1 * h_star * eigs))) >= 1.0
 
 
+class TestParallelSynthesis:
+    def test_thread_cap_preserves_results(self, monkeypatch):
+        # The pipeline has no thread knob of its own: a leftover
+        # DISSINET_THREADS is ignored, and callers that run pipelines on
+        # their own (capped) pool get the serial results.
+        from concurrent.futures import ThreadPoolExecutor
+
+        spec = MicrogridSpec(n_dgus=6, fig_stepsizes=(1e-3,), sim_steps=50)
+        serial = run_pipeline(spec)
+        monkeypatch.setenv("DISSINET_THREADS", "4")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(run_pipeline, [spec, spec]))
+        for parallel in runs:
+            assert serial.controlled.keys() == parallel.controlled.keys()
+            for h in serial.controlled:
+                k1 = [c.K for c in serial.controlled[h]["certificates"]]
+                k2 = [c.K for c in parallel.controlled[h]["certificates"]]
+                assert len(k1) == len(k2) == spec.n_dgus
+                assert all(np.array_equal(a, b) for a, b in zip(k1, k2))
+            assert np.array_equal(serial.trajectory.states, parallel.trajectory.states)
+
+
 class TestFeasibleRegion:
     def test_grid_shape_and_mask_range(self):
         rows = feasible_region_sample(0.5, resolution=(5, 5, 5))
