@@ -19,6 +19,7 @@ from .matrix_core import (
     definiteness,
     eig_general,
     inertia,
+    require_finite,
     require_symmetric,
     symmetrize,
 )
@@ -49,9 +50,9 @@ class SupplyRate:
     R: np.ndarray
 
     def __post_init__(self):
-        Q = require_symmetric(self.Q, "Q")
-        R = require_symmetric(self.R, "R")
-        S = np.atleast_2d(np.asarray(self.S, dtype=float))
+        Q = require_symmetric(require_finite(self.Q, "Q"), "Q")
+        R = require_symmetric(require_finite(self.R, "R"), "R")
+        S = np.atleast_2d(require_finite(self.S, "S"))
         if S.shape != (Q.shape[0], R.shape[0]):
             raise ValueError(
                 f"S must be {Q.shape[0]}x{R.shape[0]}, got {S.shape}"
@@ -91,9 +92,9 @@ class DualSupplyRate:
     R: np.ndarray
 
     def __post_init__(self):
-        Q = require_symmetric(self.Q, "dual Q")
-        R = require_symmetric(self.R, "dual R")
-        S = np.atleast_2d(np.asarray(self.S, dtype=float))
+        Q = require_symmetric(require_finite(self.Q, "dual Q"), "dual Q")
+        R = require_symmetric(require_finite(self.R, "dual R"), "dual R")
+        S = np.atleast_2d(require_finite(self.S, "dual S"))
         if S.shape != (Q.shape[0], R.shape[0]):
             raise ValueError(
                 f"dual S must be {Q.shape[0]}x{R.shape[0]}, got {S.shape}"
@@ -150,7 +151,7 @@ class LinearNode:
             if D.shape != (C.shape[0], G.shape[1]):
                 raise ValueError(f"D must be {C.shape[0]}x{G.shape[1]}, got {D.shape}")
         for name, mat in (("A", A), ("B", B), ("G", G), ("C", C), ("D", D)):
-            object.__setattr__(self, name, mat)
+            object.__setattr__(self, name, require_finite(mat, name))
 
     @property
     def n(self):

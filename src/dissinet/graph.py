@@ -51,8 +51,9 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.n_nodes} nodes")
-            if w <= 0:
-                raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(
+                    f"edge ({i}, {j}) needs a finite positive weight, got {w}")
             if i > j:
                 i, j = j, i
             if (i, j) in seen:
@@ -77,7 +78,11 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(int(d["n"]), tuple((e[0], e[1], e[2]) for e in d["edges"]))
+        for e in d["edges"]:
+            if (not isinstance(e, (list, tuple)) or len(e) != 3
+                    or not all(isinstance(x, (int, float)) for x in e)):
+                raise ValueError(f"edge {e!r} is not [i, j, weight]")
+        return cls(int(d["n"]), tuple(tuple(e) for e in d["edges"]))
 
 
 @dataclass(frozen=True)

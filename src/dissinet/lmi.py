@@ -284,17 +284,10 @@ class LmiSolution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``max_iters`` caps the Newton steps and ``initial`` is the start point.
-
-    ``restarts``, ``rng_seed`` and ``subgradient_iters`` are accepted for
-    compatibility and have no effect: the barrier method is deterministic.
-    """
+    """``max_iters`` caps the Newton steps and ``initial`` is the start point."""
 
     max_iters: int = 3000
-    restarts: int = 3
-    rng_seed: int = 0
     target_margin: float = None
-    subgradient_iters: int = 120
     initial: dict = None
 
 

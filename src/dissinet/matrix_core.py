@@ -20,7 +20,9 @@ __all__ = [
     "DefinitenessVerdict",
     "symmetrize",
     "require_symmetric",
+    "require_finite",
     "default_eig_tol",
+    "sign_tol",
     "eig_sym",
     "definiteness",
     "inertia",
@@ -106,11 +108,25 @@ def require_symmetric(M, name="matrix"):
     return 0.5 * (M + M.T)
 
 
+def require_finite(M, name="matrix"):
+    """Return M as a float array; raise ValueError on NaN or Inf entries."""
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} must have finite entries")
+    return M
+
+
 def default_eig_tol(eigs):
     """Relative tolerance for sign decisions, floored at 1e-12."""
     eigs = np.asarray(eigs, dtype=float)
     top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return max(1e-9 * (1.0 + top), 1e-12)
+    return float(sign_tol(top))
+
+
+def sign_tol(scale):
+    """1e-9 * (1 + |scale|) floored at 1e-12, elementwise: the tolerance
+    :func:`default_eig_tol` gives a 1x1 block whose entry is ``scale``."""
+    return np.maximum(1e-9 * (1.0 + np.abs(scale)), 1e-12)
 
 
 def eig_sym(M, name="matrix"):
@@ -174,11 +190,6 @@ def definiteness(M, mode="PD", tol=None):
     else:
         kind = "Indefinite"
     return DefinitenessVerdict(kind, lo, hi, float(tol), checks[mode])
-
-
-def is_definite(M, mode="PD", tol=None):
-    """Boolean shorthand for :func:`definiteness`."""
-    return definiteness(M, mode, tol).satisfied
 
 
 def inertia(M, tol=None):
@@ -284,8 +295,7 @@ def expm_with_integral(A, h):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must have finite entries")
+    require_finite(A, "A")
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
     n = A.shape[0]
@@ -322,8 +332,7 @@ def eig_general(M, name="matrix"):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} must have finite entries")
+    require_finite(M, name)
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

@@ -29,6 +29,7 @@ from .matrix_core import expm_with_integral
 from .network import (
     Interconnection,
     NetworkModel,
+    _bound_rows,
     assemble_closed_loop,
     simulate,
     stability_report,
@@ -432,39 +433,35 @@ def feasible_region_sample(degree, q_range=(-6.0, 0.0), s_range=(0.0, 1.0),
     """Scalar-triple membership grid for the four degree-bound variants.
 
     For every (Q, S, R) grid point returns a bitmask of the variants whose
-    bounds hold at that point (a=1, b=2, c=4, d=8).  The shared parameters
-    are projected out: variant a pins alpha = 2S and variant b pins the
-    shared S at the point's S; optional ranges restrict those projections.
+    bounds hold at that point (a=1, b=2, c=4, d=8).  Variants a-d are one
+    table, shared with :func:`dissinet.network.decentralized_check` and the
+    joint synthesis, and each bound is judged with the check's tolerance, so
+    a point on a boundary is flagged exactly when the check accepts it.  The
+    shared parameters are projected out: variant a pins alpha = 2S and
+    variant b pins the shared S at the point's S; optional ranges restrict
+    those projections.
 
     Returns an array of rows (Q, S, R, mask).
     """
     if degree <= 0:
         raise ValueError("degree must be positive")
-    qs = np.linspace(q_range[0], q_range[1], resolution[0])
-    ss = np.linspace(s_range[0], s_range[1], resolution[1])
-    rs = np.linspace(r_range[0], r_range[1], resolution[2])
-    d = float(degree)
-    rows = []
-    for q in qs:
-        for s in ss:
-            for r in rs:
-                mask = 0
-                alpha = 2.0 * s
-                if alpha_range is None or (alpha_range[0] <= alpha <= alpha_range[1]):
-                    alpha_t = max(1.0 - alpha, 0.0)
-                    if 0.0 < r < 1.0 / (2.0 * d) and q < -2.0 * d * alpha_t:
-                        mask |= REGION_VARIANT_BITS["a"]
-                if s_shared_range is None or (s_shared_range[0] <= s <= s_shared_range[1]):
-                    if s >= 0.0 and 0.0 < r < 1.0 / (2.0 * d) and q < -2.0 * d:
-                        mask |= REGION_VARIANT_BITS["b"]
-                if (0.0 <= s < 1.0 / (3.0 * d) and 0.0 < r < 1.0 / (2.0 * d)
-                        and q + s < -4.0 * d):
-                    mask |= REGION_VARIANT_BITS["c"]
-                if (s >= 0.0 and r + s < 1.0 / (2.0 * d) and q < -2.0 * s
-                        and q < -4.0 * d):
-                    mask |= REGION_VARIANT_BITS["d"]
-                rows.append((q, s, r, mask))
-    return np.array(rows)
+    Q, S, R = np.meshgrid(np.linspace(q_range[0], q_range[1], resolution[0]),
+                          np.linspace(s_range[0], s_range[1], resolution[1]),
+                          np.linspace(r_range[0], r_range[1], resolution[2]),
+                          indexing="ij")
+    alpha = 2.0 * S
+    projected = {"a": _within(alpha, alpha_range), "b": _within(S, s_shared_range)}
+    mask = np.zeros(Q.shape, dtype=int)
+    for variant, bit in REGION_VARIANT_BITS.items():
+        ok = projected.get(variant, True)
+        for bound in _bound_rows(variant, float(degree), alpha=alpha):
+            ok = ok & bound.holds_elementwise(Q, S, R)
+        mask |= np.where(ok, bit, 0)
+    return np.stack([Q.ravel(), S.ravel(), R.ravel(), mask.ravel()], axis=1)
+
+
+def _within(x, bounds):
+    return True if bounds is None else (bounds[0] <= x) & (x <= bounds[1])
 
 
 def _fmt(value):

@@ -30,7 +30,9 @@ from .matrix_core import (
     eig_sym,
     kron,
     pinv_sym_psd,
+    require_finite,
     require_symmetric,
+    sign_tol,
     symmetrize,
 )
 
@@ -75,7 +77,7 @@ class Interconnection:
 
     @classmethod
     def general(cls, H):
-        return cls(kind="general", H=np.atleast_2d(np.asarray(H, dtype=float)))
+        return cls(kind="general", H=np.atleast_2d(require_finite(H, "H")))
 
     @classmethod
     def laplacian(cls, graph, block=1):
@@ -85,7 +87,7 @@ class Interconnection:
     def skew(cls, adjacency, block=1):
         return cls(
             kind="skew",
-            adjacency=np.atleast_2d(np.asarray(adjacency, dtype=float)),
+            adjacency=np.atleast_2d(require_finite(adjacency, "adjacency")),
             block=int(block),
         )
 
@@ -304,6 +306,87 @@ def _equality(A, B, tol):
     return float(np.max(np.abs(A - B))) <= tol
 
 
+@dataclass(frozen=True)
+class _Bound:
+    """One degree bound ``cq Q + cs S + cr R + c0 I > 0`` (``>= 0`` when not
+    strict).  ``name`` is the constraint the joint-synthesis LMI states it as;
+    ``c0`` may be an array when alpha is."""
+
+    name: str
+    cq: float = 0.0
+    cs: float = 0.0
+    cr: float = 0.0
+    c0: float = 0.0
+    strict: bool = True
+
+    @property
+    def on_s_only(self):
+        return self.cq == 0.0 and self.cr == 0.0
+
+    def value(self, Q, S, R, eye):
+        out = self.c0 * eye
+        for c, X in ((self.cq, Q), (self.cs, S), (self.cr, R)):
+            if c:
+                out = out + c * X
+        return out
+
+    def holds(self, Q, S, R, tol=None):
+        M = symmetrize(self.value(Q, S, R, np.eye(S.shape[0])))
+        return definiteness(M, "PD" if self.strict else "PSD", tol).satisfied
+
+    def holds_elementwise(self, Q, S, R):
+        """The same decision on scalar triples, with the check's default
+        tolerance; Q, S, R broadcast."""
+        x = self.value(Q, S, R, 1.0)
+        tol = sign_tol(x)
+        return x > tol if self.strict else x > -tol
+
+
+def _bound_rows(variant, degree, alpha=None):
+    """The degree bounds of one variant (see :func:`decentralized_check`), in
+    the order the joint-synthesis LMI states them.  The one table behind the
+    check, the joint synthesis and the region grid."""
+    r_pd = _Bound("Qd_nd", cr=1.0)
+    r_cap = _Bound("Qd_window", cr=-1.0, c0=1.0 / (2.0 * degree))
+    s_psd = _Bound("Sd_psd", cs=1.0, strict=False)
+    if variant == "a":
+        floor = 2.0 * degree * np.maximum(1.0 - alpha, 0.0)
+        return [r_pd, r_cap, _Bound("Rd_floor", cq=-1.0, c0=-floor)]
+    if variant == "b":
+        return [s_psd, r_pd, r_cap, _Bound("Rd_floor", cq=-1.0, c0=-2.0 * degree)]
+    if variant == "c":
+        return [r_pd, r_cap, s_psd,
+                _Bound("Sd_cap", cs=-1.0, c0=1.0 / (3.0 * degree)),
+                _Bound("Rd_floor", cq=-1.0, cs=-1.0, c0=-4.0 * degree)]
+    if variant == "d":
+        return [s_psd,
+                _Bound("Qd_window", cr=-1.0, cs=-1.0, c0=1.0 / (2.0 * degree)),
+                _Bound("Rd_vs_Sd", cq=-1.0, cs=-2.0),
+                _Bound("Rd_floor", cq=-1.0, c0=-4.0 * degree)]
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _validated_bounds(variant, degree, m, p, alpha=None, s_shared=None):
+    """Validate a variant's parameters; returns (pinned S or None, bounds):
+    variant a pins S = (alpha/2) I, variant b pins S = s_shared."""
+    if degree <= 0:
+        raise ValueError(f"weighted degree must be positive, got {degree}")
+    if p != m:
+        raise ValueError("degree bounds require square supply blocks (m = p)")
+    S = None
+    if variant == "a":
+        if alpha is None:
+            raise ValueError("variant 'a' needs the shared scalar alpha")
+        S = 0.5 * alpha * np.eye(m)
+    elif variant == "b":
+        if s_shared is None:
+            raise ValueError("variant 'b' needs the shared matrix s_shared")
+        S = require_symmetric(s_shared, "s_shared")
+        if S.shape != (m, m):
+            raise ValueError(f"s_shared must be {m}x{m}, got {S.shape}")
+    return S, _bound_rows(variant, degree, alpha)
+
+
 def decentralized_check(degree, sr, variant, alpha=None, s_shared=None, tol=None):
     """Per-node degree bounds that imply the global condition under
     Laplacian coupling.
@@ -315,59 +398,14 @@ def decentralized_check(degree, sr, variant, alpha=None, s_shared=None, tol=None
     * c: 0 <= S < I/(3d),  0 < R < I/(2d),  Q + S < -4 d I
     * d: S >= 0,  R + S < I/(2d),  Q < -2 S,  Q < -4 d I
     """
-    if degree <= 0:
-        raise ValueError(f"weighted degree must be positive, got {degree}")
-    p, m = sr.p, sr.m
-    if p != m:
-        raise ValueError("degree bounds require square supply blocks (m = p)")
-    eye = np.eye(m)
-    eq_tol = tol if tol is not None else 1e-9 * (1.0 + float(np.max(np.abs(sr.S))))
-
-    def pd(M):
-        return definiteness(symmetrize(M), "PD", tol).satisfied
-
-    def psd(M):
-        return definiteness(symmetrize(M), "PSD", tol).satisfied
-
-    if variant == "a":
-        if alpha is None:
-            raise ValueError("variant 'a' needs the shared scalar alpha")
-        alpha_t = max(1.0 - alpha, 0.0)
-        return (
-            _equality(sr.S, 0.5 * alpha * eye, eq_tol)
-            and pd(sr.R)
-            and pd(eye / (2.0 * degree) - sr.R)
-            and pd(-sr.Q - 2.0 * degree * alpha_t * eye)
-        )
-    if variant == "b":
-        if s_shared is None:
-            raise ValueError("variant 'b' needs the shared matrix s_shared")
-        s_shared = require_symmetric(s_shared, "s_shared")
-        return (
-            _equality(sr.S, s_shared, eq_tol)
-            and psd(s_shared)
-            and pd(sr.R)
-            and pd(eye / (2.0 * degree) - sr.R)
-            and pd(-sr.Q - 2.0 * degree * eye)
-        )
-    if variant == "c":
+    S, rows = _validated_bounds(variant, degree, sr.m, sr.p, alpha, s_shared)
+    if S is None:
         S = require_symmetric(sr.S, "S")
-        return (
-            psd(S)
-            and pd(eye / (3.0 * degree) - S)
-            and pd(sr.R)
-            and pd(eye / (2.0 * degree) - sr.R)
-            and pd(-sr.Q - S - 4.0 * degree * eye)
-        )
-    if variant == "d":
-        S = require_symmetric(sr.S, "S")
-        return (
-            psd(S)
-            and pd(eye / (2.0 * degree) - sr.R - S)
-            and pd(-sr.Q - 2.0 * S)
-            and pd(-sr.Q - 4.0 * degree * eye)
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    else:
+        eq_tol = tol if tol is not None else 1e-9 * (1.0 + float(np.max(np.abs(sr.S))))
+        if not _equality(sr.S, S, eq_tol):
+            return False
+    return all(b.holds(sr.Q, S, sr.R, tol) for b in rows)
 
 
 def dual_decentralized_check(degree, dsr, variant, alpha=None, s_shared=None,

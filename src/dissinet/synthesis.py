@@ -41,7 +41,7 @@ from .lmi import (
     solve,
 )
 from .matrix_core import definiteness, eig_sym, symmetrize
-from .network import dual_decentralized_check
+from .network import _validated_bounds, dual_decentralized_check
 
 __all__ = [
     "SynthesisRequest",
@@ -59,14 +59,11 @@ TRACE_CAP_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    """``max_iters`` caps the solver's Newton steps.  ``seed``, ``restarts``
-    and ``subgradient_iters`` are accepted for compatibility and have no
-    effect: the solver is deterministic."""
+    """``max_iters`` caps the solver's Newton steps.  ``seed`` is accepted for
+    compatibility and has no effect: the solver is deterministic."""
 
     seed: int = 0
     max_iters: int = 3000
-    restarts: int = 3
-    subgradient_iters: int = 120
     margin: float = None          # None: 1e-6 relative to constant norms
     check_tol: float = 1e-8       # absolute tolerance of the closed-loop check
 
@@ -289,6 +286,18 @@ def dual_control(node, dsr, options=None):
     )
 
 
+def _dual_bound(bound, p):
+    """A degree bound on (Q, S, R) as a constraint on the dual triple, through
+    (Q, S, R) = (-Rd, Sd', -Qd)."""
+    form = BlockForm([p])
+    for var, scale in (("Rd", -bound.cq), ("Qd", -bound.cr), ("Sd", bound.cs)):
+        if scale:
+            form.put_var(0, 0, var, scale=scale)
+    form.put_const(0, 0, bound.c0 * np.eye(p))
+    return LmiConstraint(form.expr(), "geq", name=bound.name,
+                         margin=None if bound.strict else 0.0)
+
+
 def joint_decentralized_synthesis(node, variant, degree, alpha=None,
                                   s_shared=None, options=None):
     """Controller plus dual supply triple satisfying a degree-bound variant.
@@ -306,29 +315,15 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
     """
     options = options or SynthesisOptions()
     _require_dt_no_feedthrough(node)
-    if degree <= 0:
-        raise ValueError(f"weighted degree must be positive, got {degree}")
-    if node.m != node.p:
-        raise ValueError("degree-bound synthesis requires m = p")
-    if variant not in ("a", "b", "c", "d"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "a" and alpha is None:
-        raise ValueError("variant 'a' needs the shared scalar alpha")
-    if variant == "b":
-        if s_shared is None:
-            raise ValueError("variant 'b' needs the shared matrix s_shared")
-        s_shared = np.atleast_2d(np.asarray(s_shared, dtype=float))
-        if not definiteness(s_shared, "PSD").satisfied:
-            raise ValueError("variant 'b' needs s_shared >= 0")
+    Sd_fixed, bounds = _validated_bounds(variant, degree, node.m, node.p,
+                                         alpha, s_shared)
+    zero = np.zeros((node.m, node.m))
+    if Sd_fixed is not None and not all(
+            b.holds(zero, Sd_fixed, zero) for b in bounds if b.on_s_only):
+        raise ValueError(f"variant {variant!r} needs s_shared >= 0")
 
     n, r, m, p = node.n, node.r, node.m, node.p
     eye = np.eye(p)
-    Sd_fixed = None
-    if variant == "a":
-        Sd_fixed = 0.5 * alpha * eye
-    elif variant == "b":
-        Sd_fixed = s_shared
-
     design = _dual_form(node, Sd_fixed=Sd_fixed).expr()
     variables = [
         MatrixVariable("P", (n, n), "symmetric"),
@@ -347,72 +342,11 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
         LmiConstraint(BlockForm([m]).put_var(0, 0, "Rd").expr(), "geq",
                       name="Rd_pd"),
     ]
-    if variant in ("a", "b", "c"):
-        lower = (
-            BlockForm([p])
-            .put_var(0, 0, "Qd")
-            .put_const(0, 0, eye / (2.0 * degree))
-        )
-        constraints.append(
-            LmiConstraint(lower.expr(), "geq", name="Qd_window")
-        )
-    if variant == "a":
-        alpha_t = max(1.0 - alpha, 0.0)
-        grow = (
-            BlockForm([m])
-            .put_var(0, 0, "Rd")
-            .put_const(0, 0, -2.0 * degree * alpha_t * np.eye(m))
-        )
-        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-    elif variant == "b":
-        grow = (
-            BlockForm([m])
-            .put_var(0, 0, "Rd")
-            .put_const(0, 0, -2.0 * degree * np.eye(m))
-        )
-        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-    elif variant == "c":
-        constraints.append(
-            LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
-                          margin=0.0, name="Sd_psd")
-        )
-        s_cap = (
-            BlockForm([p])
-            .put_var(0, 0, "Sd", scale=-1.0)
-            .put_const(0, 0, eye / (3.0 * degree))
-        )
-        constraints.append(LmiConstraint(s_cap.expr(), "geq", name="Sd_cap"))
-        grow = (
-            BlockForm([m])
-            .put_var(0, 0, "Rd")
-            .put_var(0, 0, "Sd", scale=-1.0)
-            .put_const(0, 0, -4.0 * degree * np.eye(m))
-        )
-        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
-    elif variant == "d":
-        constraints.append(
-            LmiConstraint(BlockForm([p]).put_var(0, 0, "Sd").expr(), "geq",
-                          margin=0.0, name="Sd_psd")
-        )
-        window = (
-            BlockForm([p])
-            .put_var(0, 0, "Qd")
-            .put_var(0, 0, "Sd", scale=-1.0)
-            .put_const(0, 0, eye / (2.0 * degree))
-        )
-        constraints.append(LmiConstraint(window.expr(), "geq", name="Qd_window"))
-        gap = (
-            BlockForm([m])
-            .put_var(0, 0, "Rd")
-            .put_var(0, 0, "Sd", scale=-2.0)
-        )
-        constraints.append(LmiConstraint(gap.expr(), "geq", name="Rd_vs_Sd"))
-        grow = (
-            BlockForm([m])
-            .put_var(0, 0, "Rd")
-            .put_const(0, 0, -4.0 * degree * np.eye(m))
-        )
-        constraints.append(LmiConstraint(grow.expr(), "geq", name="Rd_floor"))
+    for b in bounds:
+        # R > 0 is Qd_nd above; a pinned S was checked up front.
+        if (b.cq == b.cs == b.c0 == 0.0) or (Sd_fixed is not None and b.on_s_only):
+            continue
+        constraints.append(_dual_bound(b, p))
     trace_cap = BlockForm([1]).put_const(0, 0, [[TRACE_CAP_FACTOR * degree]])
     for k in range(m):
         e_k = np.zeros((1, m))

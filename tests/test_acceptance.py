@@ -167,7 +167,7 @@ def test_criterion_4_synthesis_verification():
     while verified < 50 and attempts < 400:
         attempts += 1
         node = random_stable_node(rng, 1 + (attempts % 2))
-        opts = SynthesisOptions(seed=attempts, max_iters=800, restarts=1)
+        opts = SynthesisOptions(seed=attempts, max_iters=800)
         cert = primal_control(node, sr, opts)
         if cert is None:
             continue

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from helpers import sample_primal_in_variant
 from dissinet.cli import main
@@ -133,6 +134,40 @@ class TestCheck:
         path = tmp_path / "net.json"
         write_json(path, {"nodes": []})
         assert main(["check", str(path), "--mode", "global"]) == 2
+
+    @pytest.mark.parametrize("where", ["H", "supply", "node"])
+    def test_non_finite_entry_is_input_error(self, tmp_path, capsys, where):
+        net = {
+            "nodes": [LinearNode([[0.5]], [[1.0]], [[0.1]], [[1.0]]).to_json_dict()],
+            "interconnection": {"kind": "general", "H": [[0.0]]},
+            "supplies": [SupplyRate([[-1.0]], [[0.0]], [[0.5]]).to_json_dict()],
+        }
+        if where == "H":
+            net["interconnection"]["H"] = [[float("nan")]]
+        elif where == "supply":
+            net["supplies"][0]["R"] = [[float("inf")]]
+        else:
+            net["nodes"][0]["A"] = [[float("nan")]]
+        path = tmp_path / "net.json"
+        write_json(path, net)
+        assert main(["check", str(path), "--mode", "global"]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edge", [[0, 1], [0, 1, None]])
+    def test_edge_without_weight_is_input_error(self, tmp_path, capsys, edge):
+        node = LinearNode([[0.5]], [[1.0]], [[0.1]], [[1.0]]).to_json_dict()
+        net = {
+            "nodes": [node] * 2,
+            "interconnection": {"kind": "laplacian",
+                                "graph": {"n": 2, "edges": [edge]}, "block": 1},
+            "supplies": [SupplyRate([[-1.0]], [[0.0]], [[0.5]]).to_json_dict()] * 2,
+        }
+        path = tmp_path / "net.json"
+        write_json(path, net)
+        assert main(["check", str(path), "--mode", "global"]) == 2
+        err = capsys.readouterr().err
+        assert "[i, j, weight]" in err and "Traceback" not in err
 
     def test_dual_mode_sign_violation_is_input_error(self, tmp_path):
         node = LinearNode([[0.5]], [[1.0]], [[0.1]], [[1.0]]).to_json_dict()
@@ -283,6 +318,7 @@ class TestRegion:
         assert lines[0] == "Q,S,R,mask"
         rows = feasible_region_sample(0.5, resolution=(6, 5, 5))
         assert len(lines) - 1 == len(rows)
-        first = lines[1].split(",")
-        assert float(first[0]) == rows[0][0]
-        assert int(first[3]) == int(rows[0][3])
+        for line, row in zip(lines[1:], rows):
+            fields = line.split(",")
+            assert [float(v) for v in fields[:3]] == list(row[:3])
+            assert int(fields[3]) == int(row[3])

@@ -25,6 +25,7 @@ from dissinet.microgrid import (
 )
 from dissinet.network import (
     Interconnection,
+    decentralized_check,
     global_condition,
     stability_report,
     storage_decrease_check,
@@ -368,6 +369,26 @@ class TestFeasibleRegion:
         masks = rows[:, 3].astype(int)
         only_d = masks == REGION_VARIANT_BITS["d"]
         assert np.any(only_d)
+
+    def test_masks_agree_with_decentralized_check(self):
+        # the grid and the check judge every point, boundary points
+        # included, by the same bounds and the same tolerance
+        d = 0.5
+        free = feasible_region_sample(d, resolution=(25, 20, 20))
+        confined = feasible_region_sample(d, resolution=(25, 20, 20),
+                                          alpha_range=(0.0, 1.0),
+                                          s_shared_range=(0.0, 0.3))
+        assert np.array_equal(free[:, :3], confined[:, :3])
+        for (q, s, r, mask), conf_mask in zip(free, confined[:, 3]):
+            sr = SupplyRate([[q]], [[s]], [[r]])
+            in_range = {"a": 0.0 <= 2.0 * s <= 1.0, "b": 0.0 <= s <= 0.3,
+                        "c": True, "d": True}
+            for variant, bit in REGION_VARIANT_BITS.items():
+                holds = decentralized_check(d, sr, variant, alpha=2.0 * s,
+                                            s_shared=[[s]])
+                assert bool(int(mask) & bit) == holds, (q, s, r, variant)
+                assert (bool(int(conf_mask) & bit)
+                        == (holds and in_range[variant])), (q, s, r, variant)
 
     def test_flagged_points_pass_two_node_oracle(self):
         d = 0.5

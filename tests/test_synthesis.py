@@ -56,7 +56,7 @@ class TestPrimalControl:
         node = LinearNode([[2.0]], [[0.0]], [[0.1]], [[1.0]], time_domain="dt")
         assert not stabilizability(node.A, node.B)
         cert = primal_control(node, REFERENCE_SUPPLY,
-                              SynthesisOptions(seed=0, max_iters=400, restarts=1))
+                              SynthesisOptions(seed=0, max_iters=400))
         assert cert is None
 
     def test_static_node_trivially_dissipative(self):
@@ -103,7 +103,7 @@ class TestDualControl:
         assert not detectability(node.C, node.A)
         dsr = dualize_supply(REFERENCE_SUPPLY)
         cert = dual_control(node, dsr,
-                            SynthesisOptions(seed=0, max_iters=400, restarts=1))
+                            SynthesisOptions(seed=0, max_iters=400))
         assert cert is not None
         gap = closed_loop_dissipation_gap(node, cert.K, cert.supply,
                                           cert.storage_matrix)
@@ -114,7 +114,7 @@ class TestDualControl:
         node = LinearNode([[2.0]], [[0.0]], [[0.1]], [[1.0]], time_domain="dt")
         dsr = dualize_supply(REFERENCE_SUPPLY)
         cert = dual_control(node, dsr,
-                            SynthesisOptions(seed=0, max_iters=400, restarts=1))
+                            SynthesisOptions(seed=0, max_iters=400))
         assert cert is None
 
     def test_identity_scale_boundary_case(self):
@@ -210,7 +210,7 @@ class TestPrimalDualConsistency:
                 [[float(rng.uniform(-0.5, 0.5))]],
                 [[float(rng.uniform(0.2, 1.0))]],
             )
-            opts = SynthesisOptions(seed=tried, max_iters=600, restarts=1)
+            opts = SynthesisOptions(seed=tried, max_iters=600)
             cert_p = primal_control(node, sr, opts)
             if cert_p is None:
                 continue
