@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .dissipativity import StorageCertificate, dualize_supply
+from .dissipativity import StorageCertificate, closed_loop_dissipation_gap, dualize_supply
 from .graph import barabasi_albert, laplacian_bundle
 from .microgrid import (
     MicrogridSpec,
@@ -170,6 +170,11 @@ def cmd_simulate(args):
         ]
         if any(c is None for c in certs):
             raise ValueError("controllers file has missing certificates")
+        for i, (node, c) in enumerate(zip(net.nodes, certs, strict=True)):
+            gap = closed_loop_dissipation_gap(node, c.K, c.supply, c.storage_matrix)
+            if gap > SynthesisOptions().check_tol:
+                raise ValueError(f"certificate of node {i} fails the closed-loop "
+                                 f"dissipation check (gap {gap:.3e})")
         net.controllers = [c.K for c in certs]
         certificates = certs
     net.certificates = certificates

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import eig_sym, kron, pinv_sym_psd, symmetrize
+from .matrix_core import definiteness, eig_sym, kron, pinv_sym_psd, symmetrize
 
 __all__ = [
     "WeightedGraph",
@@ -78,11 +78,15 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict) or not isinstance(d.get("edges"), list):
+            raise ValueError("graph must be an object with an 'edges' list")
+        if not isinstance(d.get("n"), int):
+            raise ValueError(f"graph size n must be an integer, got {d.get('n')!r}")
         for e in d["edges"]:
             if (not isinstance(e, (list, tuple)) or len(e) != 3
                     or not all(isinstance(x, (int, float)) for x in e)):
                 raise ValueError(f"edge {e!r} is not [i, j, weight]")
-        return cls(int(d["n"]), tuple(tuple(e) for e in d["edges"]))
+        return cls(d["n"], tuple(tuple(e) for e in d["edges"]))
 
 
 @dataclass(frozen=True)
@@ -214,10 +218,7 @@ def laplacian_flow_lyapunov_check(b, V_block, tol=None):
     extended Laplacian flow, i.e. that L (x) (V_block + V_block^T) is PSD."""
     V_block = np.atleast_2d(np.asarray(V_block, dtype=float))
     M = kron(b.laplacian, V_block + V_block.T)
-    w, _ = eig_sym(symmetrize(M))
-    if tol is None:
-        tol = max(1e-9 * (1.0 + float(np.max(np.abs(w)))), 1e-12)
-    return bool(w[0] > -tol)
+    return definiteness(symmetrize(M), "PSD", tol).satisfied
 
 
 def barabasi_albert(n, m_attach, seed, weight=1.0):

@@ -252,9 +252,6 @@ class LmiProblem:
         if not self.constraints:
             raise ValueError("problem has no constraints")
 
-    def required_margin(self, constraint):
-        return self.margin if constraint.margin is None else constraint.margin
-
 
 @dataclass(frozen=True)
 class ConstraintReport:

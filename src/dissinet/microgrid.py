@@ -20,6 +20,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -487,15 +488,19 @@ def write_eig_csv(path, label, eigenvalues):
 
 
 def write_trajectory_csv(path, traj, h, node_dims):
-    """Long-format trajectory table: step, time_s, node, state_index, value."""
-    rows = []
-    for k in range(traj.states.shape[0]):
-        offset = 0
-        for node, dim in enumerate(node_dims):
-            for j in range(dim):
-                rows.append([k, k * h, node, j, traj.states[k, offset + j]])
-            offset += dim
-    write_csv(path, ["step", "time_s", "node", "state_index", "value"], rows)
+    """Long-format trajectory table: step, time_s, node, state_index, value.
+
+    Streams one step's rows at a time, in the text of :func:`write_csv`.
+    """
+    nodes = [str(node) for node, dim in enumerate(node_dims) for _ in range(dim)]
+    indices = [str(j) for dim in node_dims for j in range(dim)]
+    fmt = "{:.17g}".format
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "time_s", "node", "state_index", "value"])
+        for k, x in enumerate(traj.states):
+            step, time_s = repeat(str(k)), repeat(_fmt(k * h))
+            writer.writerows(zip(step, time_s, nodes, indices, map(fmt, x.tolist())))
 
 
 def write_region_csv(path, rows):

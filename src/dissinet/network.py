@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .dissipativity import LinearNode, SupplyRate
 from .graph import WeightedGraph, laplacian_bundle
@@ -239,6 +240,13 @@ class NetworkModel:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict) or not isinstance(d.get("interconnection"), dict):
+            raise ValueError("network must be an object with an 'interconnection' object")
+        for key, kind, what in (("nodes", dict, "objects"), ("supplies", dict, "objects"),
+                                ("controllers", (list, type(None)), "matrices")):
+            items = d.get(key, [])
+            if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+                raise ValueError(f"network {key!r} must be a list of {what}")
         nodes = []
         for nd in d["nodes"]:
             if nd.get("nonlinear"):
@@ -499,22 +507,32 @@ def qmi_nonempty_check(supplies, tol=None):
     return definiteness(M, "PD", tol).satisfied
 
 
+def _stacked_blocks(nodes, controllers):
+    """The nodes' A_i + B_i K_i (A_i where K_i is None), G_i and C_i, each
+    stacked block-diagonally as CSR, with zero blocks for a nonlinear node.
+    Off-diagonal blocks are not stored, so a non-finite state never reaches
+    another node's slice (as it would densely, through 0 * inf = NaN)."""
+    blocks = [
+        (node.closed_loop_a(K), node.G, node.C) if isinstance(node, LinearNode)
+        else (np.zeros((node.n, node.n)), np.zeros((node.n, node.m)),
+              np.zeros((node.p, node.n)))
+        for node, K in zip(nodes, controllers, strict=True)
+    ]
+    return tuple(scipy.sparse.block_diag(column, format="csr") for column in zip(*blocks))
+
+
 def assemble_closed_loop(nodes, controllers, H):
     """Global state matrix blockdiag(A_i + B_i K_i) + G H C of the coupled loop."""
     if len(controllers) != len(nodes):
         raise ValueError("one controller per node required")
-    closed = []
     for i, (node, K) in enumerate(zip(nodes, controllers)):
         if not isinstance(node, LinearNode):
             raise ValueError(f"node {i} is not linear")
         if K is None:
             raise ValueError(f"node {i} is missing a controller")
-        closed.append(node.closed_loop_a(K))
-    A = block_diag(closed)
-    G = block_diag([node.G for node in nodes])
-    C = block_diag([node.C for node in nodes])
+    A, G, C = _stacked_blocks(nodes, controllers)
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    return A + G @ H @ C
+    return A.toarray() + (G @ H) @ C
 
 
 @dataclass(frozen=True)
@@ -573,89 +591,58 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _node_update(node, K, x, u):
-    if isinstance(node, LinearNode):
-        if node.time_domain != "dt":
-            raise ValueError("simulation requires DT nodes")
-        x_next = node.A @ x + node.G @ u
-        if K is not None:
-            x_next = x_next + node.B @ (K @ x)
-        return x_next
-    return np.asarray(node.update(x, u), dtype=float).reshape(-1)
-
-
-def _node_output(node, x):
-    if isinstance(node, LinearNode):
-        return node.C @ x
-    return np.asarray(node.output(x), dtype=float).reshape(-1)
+def _slices(dims):
+    ends = np.cumsum(dims).tolist()
+    return [slice(end - dim, end) for dim, end in zip(dims, ends)]
 
 
 def simulate(net, x0, steps, overflow_limit=1e12):
-    """Iterate u_k = H y_k followed by the per-node updates.
+    """Iterate y_k = C x_k, u_k = H y_k, x_{k+1} = A x_k + G u_k.
 
-    Controllers stored on the model are applied to linear nodes.  When
+    A = blockdiag(A_i + B_i K_i) applies the controllers stored on the model;
+    a nonlinear node's maps overwrite its own slices of y and x+.  When
     certificates are present the summed storage V(x_k) = sum x_i' P_i^{-1} x_i
     is recorded.  Non-finite or overflowing states truncate the run with a
     diagnostic message instead of raising.
     """
+    if any(isinstance(node, LinearNode) and node.time_domain != "dt"
+           for node in net.nodes):
+        raise ValueError("simulation requires DT nodes")
+    xs, us, ys = (_slices([getattr(node, d) for node in net.nodes]) for d in "nmp")
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.size != xs[-1].stop:
+        raise ValueError(f"x0 must have {xs[-1].stop} entries, got {x.size}")
+    A, G, C = _stacked_blocks(net.nodes, net.controllers or [None] * net.n_nodes)
     H = net.H()
-    dims = [node.n for node in net.nodes]
-    splits = np.cumsum(dims)[:-1]
-    total = int(np.sum(dims))
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != total:
-        raise ValueError(f"x0 must have {total} entries, got {x0.size}")
-    controllers = net.controllers or [None] * net.n_nodes
-    storages = None
-    if net.certificates is not None and all(c is not None for c in net.certificates):
-        storages = [c.storage_matrix for c in net.certificates]
+    nonlinear = [s for s in zip(net.nodes, xs, us, ys) if not isinstance(s[0], LinearNode)]
 
-    m_total = sum(node.m for node in net.nodes)
-    p_total = sum(node.p for node in net.nodes)
-    states = np.zeros((steps + 1, total))
-    outputs = np.zeros((steps + 1, p_total))
-    inputs = np.zeros((steps + 1, m_total))
-    storage = np.zeros(steps + 1) if storages is not None else None
-
-    def storage_value(x_parts):
-        return sum(float(x @ P @ x) for x, P in zip(x_parts, storages))
-
-    x_parts = np.split(x0.copy(), splits)
-    truncated = False
-    message = ""
-    last = steps
+    states = np.zeros((steps + 1, x.size))
+    outputs = np.zeros((steps + 1, C.shape[0]))
+    inputs = np.zeros((steps + 1, G.shape[1]))
+    end, message = steps + 1, ""
     for k in range(steps + 1):
-        y_parts = [_node_output(node, x) for node, x in zip(net.nodes, x_parts)]
-        y = np.concatenate(y_parts)
+        y = C @ x
+        for node, xi, _, yi in nonlinear:
+            y[yi] = np.asarray(node.output(x[xi]), dtype=float).reshape(-1)
         u = H @ y
-        states[k] = np.concatenate(x_parts)
-        outputs[k] = y
-        inputs[k] = u
-        if storage is not None:
-            storage[k] = storage_value(x_parts)
-        if not np.all(np.isfinite(states[k])) or np.max(np.abs(states[k])) > overflow_limit:
-            truncated = True
-            message = f"state overflow at step {k}; trajectory truncated"
-            last = k
+        states[k], outputs[k], inputs[k] = x, y, u
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > overflow_limit:
+            end, message = k + 1, f"state overflow at step {k}; trajectory truncated"
             break
-        if k == steps:
-            break
-        u_parts = np.split(u, np.cumsum([node.m for node in net.nodes])[:-1])
-        x_parts = [
-            _node_update(node, K, x, uu)
-            for node, K, x, uu in zip(net.nodes, controllers, x_parts, u_parts)
-        ]
-    end = last + 1
-    return Trajectory(
-        states=states[:end],
-        outputs=outputs[:end],
-        inputs=inputs[:end],
-        storage=None if storage is None else storage[:end],
-        node_slices=[slice(0 if i == 0 else splits[i - 1], s)
-                     for i, s in enumerate(np.cumsum(dims))],
-        truncated=truncated,
-        message=message,
-    )
+        if k < steps:
+            x_next = A @ x + G @ u
+            for node, xi, ui, _ in nonlinear:
+                x_next[xi] = np.asarray(node.update(x[xi], u[ui]), dtype=float).reshape(-1)
+            x = x_next
+
+    storage = None
+    if net.certificates is not None and all(c is not None for c in net.certificates):
+        P = scipy.sparse.block_diag([c.storage_matrix for c in net.certificates],
+                                    format="csr")
+        storage = np.einsum("ki,ik->k", states[:end], P @ states[:end].T)
+    return Trajectory(states=states[:end], outputs=outputs[:end], inputs=inputs[:end],
+                      storage=storage, node_slices=xs, truncated=bool(message),
+                      message=message)
 
 
 def storage_decrease_check(traj):

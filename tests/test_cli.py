@@ -135,6 +135,19 @@ class TestCheck:
         write_json(path, {"nodes": []})
         assert main(["check", str(path), "--mode", "global"]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"nodes": [LinearNode([[0.5]], [[1.0]], [[0.1]], [[1.0]]).to_json_dict()],
+         "interconnection": {"kind": "laplacian",
+                             "graph": {"n": None, "edges": []}}},
+        {"nodes": [1], "interconnection": {"kind": "general", "H": [[0.0]]}},
+    ], ids=["graph-n-null", "node-not-object"])
+    def test_wrongly_typed_network_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "net.json"
+        write_json(path, doc)
+        assert main(["check", str(path), "--mode", "global"]) == 2
+        err = capsys.readouterr().err
+        assert "must be" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("where", ["H", "supply", "node"])
     def test_non_finite_entry_is_input_error(self, tmp_path, capsys, where):
         net = {
@@ -276,6 +289,20 @@ class TestSimulate:
         result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert result["max_storage_increase"] <= 1e-10
         assert (tmp_path / "traj_storage.csv").exists()
+
+    def test_tampered_certificate_is_input_error(self, tmp_path, capsys):
+        net = microgrid_pair_network()
+        net_path, ctl_path = self._synth_controllers(tmp_path, net)
+        data = json.loads(ctl_path.read_text())
+        data["nodes"][1]["K"] = [[0.0, 5000.0]]
+        write_json(ctl_path, data)
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", str(net_path), "--controllers", str(ctl_path),
+                     "--steps", "50", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "node 1" in err and "dissipation" in err
+        assert not out.exists()
 
     def test_explosive_gains_truncate(self, tmp_path, capsys):
         net = microgrid_pair_network()

@@ -289,12 +289,20 @@ class TestPipeline:
         assert header == "node_set,re,im,abs"
 
     def test_trajectory_csv_full_precision(self, small_report, tmp_path):
-        _, rep = small_report
+        # every row parses back exactly to (k, k*h, node, index, x_k[node, index])
+        spec, rep = small_report
         out = tmp_path / "prec"
         rep.write(out)
         lines = (out / "trajectory.csv").read_text().splitlines()
-        step, time_s, node, idx, value = lines[1].split(",")
-        assert float(value) == rep.trajectory.states[0, 0]
+        assert lines[0] == "step,time_s,node,state_index,value"
+        states = rep.trajectory.states
+        assert len(lines) - 1 == states.size
+        for row, line in enumerate(lines[1:]):
+            step, time_s, node, idx, value = line.split(",")
+            k, col = divmod(row, states.shape[1])
+            assert (int(step), float(time_s)) == (k, k * spec.h)
+            assert (int(node), int(idx)) == divmod(col, 2)
+            assert float(value) == states[k, col]
 
 
 class TestBaselineNetworks:

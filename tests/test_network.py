@@ -461,6 +461,97 @@ class TestSimulate:
         traj = simulate(net, np.array([1.0]), 5)
         assert np.allclose(traj.states[:, 0], 0.5 ** np.arange(6))
 
+    def test_non_finite_state_stays_in_its_node(self):
+        net = make_network([0.5, 0.3, 0.2])
+        with np.errstate(invalid="ignore"):  # u = H y is dense: 0 * inf
+            traj = simulate(net, np.array([np.inf, 1.0, 2.0]), 10)
+        assert traj.truncated and traj.states.shape[0] == 1
+        assert np.array_equal(traj.outputs[0], [np.inf, 1.0, 2.0])
+
+    @pytest.mark.parametrize("a_last, truncates", [(0.7, False), (3.0, True)])
+    def test_matches_per_node_reference(self, a_last, truncates):
+        from dissinet.dissipativity import StorageCertificate
+
+        rng = np.random.default_rng(5)
+        nodes = [
+            LinearNode([[0.9, 0.2], [-0.1, 0.8]], [[0.0], [1.0]], [[0.1], [0.05]],
+                       [[1.0, 0.5]]),
+            NonlinearNode(1, 1, 1, update=lambda x, u: 0.5 * np.tanh(x) + 0.1 * u,
+                          output=lambda x: np.sin(x)),
+            LinearNode([[a_last]], [[1.0]], [[0.1]], [[1.0]]),
+        ]
+        certificates = []
+        for node in nodes:
+            W = rng.standard_normal((node.n, node.n))
+            certificates.append(StorageCertificate(
+                P=np.eye(node.n), storage_matrix=W @ W.T + np.eye(node.n),
+                K=np.zeros((1, node.n)),
+                supply=SupplyRate([[-1.0]], [[0.5]], [[0.4]]), margin=0.0))
+        graph = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 0.5)))
+        net = NetworkModel(
+            nodes=nodes, interconnection=Interconnection.laplacian(graph),
+            controllers=[np.array([[-0.1, -0.3]]), None, None],
+            certificates=certificates,
+        )
+        x0 = np.array([0.6, -0.4, 0.8, -0.5])
+        traj = simulate(net, x0, 120, overflow_limit=1e6)
+        ref = per_node_simulation(net, x0, 120, overflow_limit=1e6)
+        assert traj.truncated == truncates == (len(ref["states"]) < 121)
+        for name in ("states", "outputs", "inputs", "storage"):
+            got, want = getattr(traj, name), ref[name]
+            assert got.shape == want.shape
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    def test_linear_network_steps_the_closed_loop(self):
+        rng = np.random.default_rng(8)
+        graph = random_connected_graph(rng, n_max=6)
+        nodes = [
+            LinearNode(0.4 * rng.standard_normal((2, 2)), rng.standard_normal((2, 1)),
+                       0.1 * rng.standard_normal((2, 1)), rng.standard_normal((1, 2)))
+            for _ in range(graph.n_nodes)
+        ]
+        gains = [0.1 * rng.standard_normal((1, 2)) for _ in nodes]
+        net = NetworkModel(nodes=nodes, interconnection=Interconnection.laplacian(graph),
+                           controllers=gains)
+        traj = simulate(net, rng.standard_normal(2 * graph.n_nodes), 50)
+        A_cl = assemble_closed_loop(nodes, gains, net.H())
+        scale = np.max(np.abs(traj.states))
+        np.testing.assert_allclose(traj.states[1:], traj.states[:-1] @ A_cl.T,
+                                   rtol=0, atol=1e-12 * scale)
+
+
+def per_node_simulation(net, x0, steps, overflow_limit):
+    """Reference for :func:`simulate`: u = H y, then every node's own update
+    x+ = A x + G u + B (K x), or its nonlinear map."""
+    H = net.H()
+    parts = np.split(x0, np.cumsum([node.n for node in net.nodes])[:-1])
+    u_splits = np.cumsum([node.m for node in net.nodes])[:-1]
+    out = {"states": [], "outputs": [], "inputs": [], "storage": []}
+    for k in range(steps + 1):
+        y = np.concatenate([
+            node.C @ x if isinstance(node, LinearNode) else np.atleast_1d(node.output(x))
+            for node, x in zip(net.nodes, parts)
+        ])
+        u = H @ y
+        x = np.concatenate(parts)
+        out["states"].append(x)
+        out["outputs"].append(y)
+        out["inputs"].append(u)
+        out["storage"].append(sum(float(xi @ c.storage_matrix @ xi)
+                                  for xi, c in zip(parts, net.certificates)))
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > overflow_limit or k == steps:
+            break
+        new_parts = []
+        for node, K, xi, ui in zip(net.nodes, net.controllers, parts, np.split(u, u_splits)):
+            if isinstance(node, LinearNode):
+                xn = node.A @ xi + node.G @ ui
+                new_parts.append(xn if K is None else xn + node.B @ (K @ xi))
+            else:
+                new_parts.append(np.atleast_1d(node.update(xi, ui)))
+        parts = new_parts
+    return {name: np.array(rows) for name, rows in out.items()}
+
 
 class TestStorageCheck:
     def test_zero_trajectory(self):
