@@ -35,7 +35,7 @@ from .network import (
     simulate,
     storage_decrease_check,
 )
-from .synthesis import SynthesisOptions, joint_decentralized_synthesis, primal_control
+from .synthesis import SynthesisOptions, _joint_synthesis_all, primal_control
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,33 +124,21 @@ def cmd_check(args):
 
 def cmd_synth(args):
     net = _network_from_file(args.network)
-    opts_base = dict(max_iters=args.max_iters)
-    certificates = []
-    failures = []
+    options = SynthesisOptions(seed=args.seed, max_iters=args.max_iters)
     if args.variant == "fixed":
         if net.supplies is None:
             raise ValueError("fixed-supply synthesis needs supplies in the network file")
-        for i, (node, sr) in enumerate(zip(net.nodes, net.supplies)):
-            cert = primal_control(
-                node, sr, SynthesisOptions(seed=args.seed + i, **opts_base)
-            )
-            certificates.append(cert)
-            if cert is None:
-                failures.append(i)
+        certificates = [primal_control(node, sr, options)
+                        for node, sr in zip(net.nodes, net.supplies)]
     else:
         if net.interconnection.kind != "laplacian":
             raise ValueError("joint synthesis needs a laplacian interconnection")
         bundle = laplacian_bundle(net.interconnection.graph)
         s_shared = np.array(args.s_shared) if args.s_shared is not None else None
-        for i, node in enumerate(net.nodes):
-            res = joint_decentralized_synthesis(
-                node, args.variant, bundle.degrees[i], alpha=args.alpha,
-                s_shared=s_shared,
-                options=SynthesisOptions(seed=args.seed + i, **opts_base),
-            )
-            certificates.append(None if res is None else res[0])
-            if res is None:
-                failures.append(i)
+        results = _joint_synthesis_all(net.nodes, args.variant, bundle.degrees,
+                                       alpha=args.alpha, s_shared=s_shared, options=options)
+        certificates = [None if res is None else res[0] for res in results]
+    failures = [i for i, c in enumerate(certificates) if c is None]
     out = {
         "nodes": [None if c is None else c.to_json_dict() for c in certificates],
         "failures": failures,

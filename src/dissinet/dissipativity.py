@@ -78,9 +78,7 @@ class SupplyRate:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(np.array(d["Q"], dtype=float),
-                   np.array(d["S"], dtype=float),
-                   np.array(d["R"], dtype=float))
+        return cls(d["Q"], d["S"], d["R"])
 
 
 @dataclass(frozen=True)
@@ -193,13 +191,8 @@ class LinearNode:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            np.array(d["A"], dtype=float),
-            np.array(d["B"], dtype=float),
-            np.array(d["G"], dtype=float),
-            np.array(d["C"], dtype=float),
-            time_domain=d.get("time_domain", "dt"),
-        )
+        return cls(*(require_finite(d[key], key) for key in "ABGC"),
+                   time_domain=d.get("time_domain", "dt"))
 
 
 @dataclass(frozen=True)
@@ -231,12 +224,12 @@ class StorageCertificate:
 
     @classmethod
     def from_json_dict(cls, d):
-        P = require_symmetric(np.array(d["P"], dtype=float), "P")
+        P = require_symmetric(require_finite(d["P"], "P"), "P")
         storage = np.linalg.solve(P, np.eye(P.shape[0]))
         return cls(
             P=P,
             storage_matrix=symmetrize(storage),
-            K=np.atleast_2d(np.array(d["K"], dtype=float)),
+            K=np.atleast_2d(require_finite(d["K"], "K")),
             supply=SupplyRate.from_json_dict(d["supply"]),
             margin=float(d["margin"]),
             variant=d.get("variant", "fixed"),

@@ -25,11 +25,13 @@ slack.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import eig_sym, symmetrize
+from .matrix_core import _per_shape, eig_sym, symmetrize
 
 __all__ = [
     "MatrixVariable",
@@ -48,6 +50,11 @@ __all__ = [
 ]
 
 VERIFY_SLACK = 1e-9
+
+
+@functools.cache
+def _upper(r):   # the packed entries of a symmetric r x r variable
+    return np.triu_indices(r)
 
 
 @dataclass(frozen=True)
@@ -73,47 +80,32 @@ class MatrixVariable:
         return r * (r + 1) // 2 if self.kind == "symmetric" else r * c
 
     def basis(self):
-        """Basis matrices spanning the variable space."""
-        r, c = self.shape
-        out = []
-        if self.kind == "symmetric":
-            for i in range(r):
-                for j in range(i, r):
-                    B = np.zeros((r, r))
-                    B[i, j] = 1.0
-                    B[j, i] = 1.0
-                    out.append(B)
-        else:
-            for i in range(r):
-                for j in range(c):
-                    B = np.zeros((r, c))
-                    B[i, j] = 1.0
-                    out.append(B)
-        return out
+        """Basis matrices spanning the variable space, stacked (dof, r, c)."""
+        return self.unpack(np.eye(self.dof))
 
     def pack(self, value):
-        value = np.atleast_2d(np.asarray(value, dtype=float))
-        if value.shape != self.shape:
+        """Coefficients of a value; leading axes of a stack (..., r, c) are kept."""
+        value = np.asarray(value, dtype=float)
+        value = np.atleast_2d(value) if value.ndim < 2 else value
+        if value.shape[-2:] != self.shape:
             raise ValueError(
                 f"value for {self.name!r} must be {self.shape}, got {value.shape}"
             )
         if self.kind == "symmetric":
-            r = self.shape[0]
-            return np.array([value[i, j] for i in range(r) for j in range(i, r)])
-        return value.reshape(-1).copy()
+            i, j = _upper(self.shape[0])
+            return value[..., i, j]
+        return value.reshape(value.shape[:-2] + (-1,))
 
     def unpack(self, coeffs):
         r, c = self.shape
+        coeffs = np.asarray(coeffs, dtype=float)
         if self.kind == "symmetric":
-            V = np.zeros((r, r))
-            k = 0
-            for i in range(r):
-                for j in range(i, r):
-                    V[i, j] = coeffs[k]
-                    V[j, i] = coeffs[k]
-                    k += 1
+            V = np.empty(coeffs.shape[:-1] + (r, r))
+            i, j = _upper(r)
+            V[..., i, j] = coeffs
+            V[..., j, i] = coeffs
             return V
-        return np.asarray(coeffs, dtype=float).reshape(r, c)
+        return coeffs.reshape(coeffs.shape[:-1] + (r, c))
 
 
 @dataclass(frozen=True)
@@ -126,10 +118,10 @@ class SandwichTerm:
     transpose: bool = False
     scale: float = 1.0
 
-    def apply(self, value):
-        V = value.T if self.transpose else value
+    def apply(self, value):   # value may be a stack (..., r, c)
+        V = value.swapaxes(-1, -2) if self.transpose else value
         X = self.left @ V @ self.right
-        return self.scale * 0.5 * (X + X.T)
+        return self.scale * 0.5 * (X + X.swapaxes(-1, -2))
 
 
 class AffineMatrixExpr:
@@ -299,137 +291,150 @@ def verify(problem, assignment, tol=VERIFY_SLACK, target_margin=None):
     Independent of any solver state: uses only the expression definitions,
     the assignment, and the symmetric eigensolver.
     """
-    required = _required_margins(problem, target_margin)
-    reports = []
-    for idx, c in enumerate(problem.constraints):
-        M = c.normalized_expr().evaluate(assignment)
-        w, _ = eig_sym(M)
-        reports.append(
-            ConstraintReport(
-                index=idx,
-                name=c.name or f"constraint[{idx}]",
-                min_eig=float(w[0]),
-                required=float(required[idx]),
-                tol=tol,
-            )
-        )
-    return reports
+    return _verify_all([problem], [assignment], [target_margin], tol)[0]
+
+
+def _verify_all(problems, assignments, target_margins, tol=VERIFY_SLACK):
+    """:func:`verify` of many assignments, one stacked :func:`eig_sym` per size."""
+    mats = [c.normalized_expr().evaluate(a)
+            for p, a in zip(problems, assignments) for c in p.constraints]
+    min_eig = _per_shape(mats, lambda stack: eig_sym(stack)[0][:, 0])
+    out, pos = [], 0
+    for p, target in zip(problems, target_margins):
+        required = _required_margins(p, target)
+        out.append([ConstraintReport(index=idx, name=c.name or f"constraint[{idx}]",
+                                     min_eig=float(min_eig[pos + idx]),
+                                     required=float(required[idx]), tol=tol)
+                    for idx, c in enumerate(p.constraints)])
+        pos += len(p.constraints)
+    return out
 
 
 def _required_margins(problem, target_margin):
     """Per-constraint required floor; a solver-level target overrides the
     problem margin but never a per-constraint override."""
-    out = []
-    for c in problem.constraints:
-        if c.margin is not None:
-            out.append(c.margin)
-        elif target_margin is not None:
-            out.append(target_margin)
-        else:
-            out.append(problem.margin)
-    return np.asarray(out, dtype=float)
+    default = target_margin if target_margin is not None else problem.margin
+    return np.array([default if c.margin is None else c.margin
+                     for c in problem.constraints], dtype=float)
 
 
 class _Compiled:
-    """Phase-I view of a problem over ``z = (x, t)``, x packing the variables.
+    """Phase-I view over ``z = (x, t)`` of N problems that share their
+    variables and constraint sizes, x packing the variables.
 
     Constraint j becomes the slack ``F_j(x) - (b_j + t) I``, affine in z, with
-    ``b_j`` its required margin.  The 1x1 constraints form one system of
-    linear inequalities ``c + G z > 0``.  The larger ones are padded with an
-    identity block to the largest size ``n`` and stacked as constants ``C``
-    (J, n, n) and derivatives ``D`` (J, d + 1, n, n), the last derivative
-    being the ``-I`` of t; a padded block adds nothing to the barrier.
+    ``b_j`` its required margin.  The 1x1 constraints form the linear
+    inequalities ``c + G z > 0``, stacked as ``c`` (N, P) and ``G`` (N, P, k).
+    The larger ones are padded with an identity block to the largest size
+    ``n`` and stacked as constants ``C`` (N, J, n, n) and derivatives ``D``
+    (N, J, k, n, n), the last derivative being the ``-I`` of t; a padded
+    block adds nothing to the barrier.
     """
 
-    def __init__(self, problem, target_margin):
-        self.variables = list(problem.variables)
-        self.offsets = {}
-        d = 0
-        for v in self.variables:
-            self.offsets[v.name] = d
-            d += v.dof
-        self.dim = d
-        var_by_name = {v.name: v for v in self.variables}
-        exprs = [c.normalized_expr() for c in problem.constraints]
+    def __init__(self, problems, target_margins):
+        self.variables = list(problems[0].variables)
+        ends = np.cumsum([v.dof for v in self.variables]).tolist()
+        self.offsets = {v.name: end - v.dof for v, end in zip(self.variables, ends)}
+        self.dim = d = ends[-1]
+        dims = [c.expr.dim for c in problems[0].constraints]
+        N, J, n = len(problems), len(dims), max(dims)
+        # The identity of each slack's own block, zero on its padding.
+        eye = np.eye(n) * (np.arange(n) < np.array(dims)[:, None])[:, None, :]
+        K = np.zeros((N, J, n, n))
+        D = np.zeros((N, J, d + 1, n, n))
+        D[:, :, d] = -eye
+        bases = {v.name: v.basis() for v in self.variables}
+        for i, p in enumerate(problems):
+            for j, c in enumerate(p.constraints):
+                e, s = c.normalized_expr(), dims[j]
+                K[i, j, :s, :s] = e.constant
+                for t in e.terms:   # each term at every basis matrix at once
+                    o = self.offsets[t.var]
+                    D[i, j, o : o + len(bases[t.var]), :s, :s] += t.apply(bases[t.var])
         # Symmetric variables start at this multiple of the identity.
-        self.start_scale = float(np.mean(
-            [1.0 + float(np.max(np.abs(e.constant))) for e in exprs]))
+        self.start_scale = np.mean(1.0 + abs(K).max(axis=(2, 3)), axis=1)
         # Barrier parameter: total slack dimension plus one for the norm bound.
-        self.degree = 1 + sum(e.dim for e in exprs)
-        n = max(e.dim for e in exprs)
-        consts, derivs, lin_c, lin_G = [], [], [], []
-        for e, b in zip(exprs, _required_margins(problem, target_margin)):
-            s = e.dim
-            C = np.eye(n)
-            C[:s, :s] = e.constant - b * np.eye(s)
-            D = np.zeros((d + 1, n, n))
-            for term in e.terms:
-                v = var_by_name[term.var]
-                for k, Bk in enumerate(v.basis()):
-                    D[self.offsets[v.name] + k, :s, :s] += term.apply(Bk)
-            D[d, :s, :s] = -np.eye(s)
-            if s == 1:
-                lin_c.append(C[0, 0])
-                lin_G.append(D[:, 0, 0])
-            else:
-                consts.append(C)
-                derivs.append(D)
-        self.linear = (np.array(lin_c), np.array(lin_G)) if lin_c else None
-        self.blocks = (np.array(consts), np.array(derivs)) if consts else None
+        self.degree = 1 + sum(dims)
+        margins = np.array([_required_margins(p, m) for p, m in zip(problems, target_margins)])
+        C = K - margins[:, :, None, None] * eye + (np.eye(n) - eye)
+        linear = [j for j, s in enumerate(dims) if s == 1]
+        blocks = [j for j, s in enumerate(dims) if s > 1]
+        self.linear = (C[:, linear, 0, 0], D[..., 0, 0][:, linear]) if linear else None
+        self.blocks = (C[:, blocks], D[:, blocks]) if blocks else None
         # E @ trace_weights sums the traces of the whitened derivatives.
         self.trace_weights = np.concatenate(
-            [np.ones(len(lin_c)), np.tile(np.eye(n).reshape(-1), len(consts))])
+            [np.ones(len(linear)), np.tile(np.eye(n).reshape(-1), len(blocks))])
 
-    def pack(self, assignment):
-        x = np.zeros(self.dim)
-        for v in self.variables:
-            x[self.offsets[v.name] : self.offsets[v.name] + v.dof] = v.pack(
-                assignment[v.name]
-            )
-        return x
-
-    def unpack(self, x):
-        out = {}
-        for v in self.variables:
-            out[v.name] = v.unpack(x[self.offsets[v.name] : self.offsets[v.name] + v.dof])
+    def take(self, rows):
+        """The compiled problems ``rows`` (indices or a mask)."""
+        out = copy.copy(self)
+        out.start_scale = self.start_scale[rows]
+        out.linear = None if self.linear is None else tuple(a[rows] for a in self.linear)
+        out.blocks = None if self.blocks is None else tuple(a[rows] for a in self.blocks)
         return out
 
-    def start(self, initial):
-        if initial is not None:
-            return self.pack(initial)
-        return self.pack({
-            v.name: self.start_scale * np.eye(v.shape[0]) if v.kind == "symmetric"
-            else np.zeros(v.shape)
-            for v in self.variables
-        })
+    def unpack(self, x):
+        """The assignments of the rows of x (N, d)."""
+        values = {v.name: v.unpack(x[:, self.offsets[v.name] : self.offsets[v.name] + v.dof])
+                  for v in self.variables}
+        return [{name: V[i] for name, V in values.items()} for i in range(len(x))]
 
-    def whitened(self, z):
-        """Whitened derivatives at z and the gradient of the log-det barrier.
+    def start(self, initials):
+        """Start points (N, d): the warm starts, else scaled identities for
+        symmetric variables and zero for rectangular ones."""
+        points = [initial if initial is not None else
+                  {v.name: scale * np.eye(v.shape[0]) if v.kind == "symmetric"
+                   else np.zeros(v.shape) for v in self.variables}
+                  for initial, scale in zip(initials, self.start_scale)]
+        return np.concatenate([v.pack(np.array([np.atleast_2d(p[v.name]) for p in points]))
+                               for v in self.variables], axis=1)
 
-        Row k of ``E`` stacks ``L^-1 D_k L^-T`` over every slack ``L L^T``,
-        so the barrier's Hessian is ``E E^T``.  None when some slack is not
-        positive definite.
+    def whitened(self, z, trial):
+        """``(ok, E, g)`` at the points z (N, k) of the problems ``trial`` marks:
+        ``ok`` marks the points inside every slack's domain, and for those only
+        row k of ``E[i]`` stacks ``L^-1 D_k L^-T`` over every slack ``L L^T``
+        (the barrier's Hessian is ``E[i] E[i]^T``) and g is its gradient.
         """
+        ok = trial
+        if np.count_nonzero(ok) == len(ok):
+            if self.linear is not None:
+                c, G = self.linear
+                s = c + (G @ z[:, :, None])[:, :, 0]
+                ok = (s > 0).all(axis=1)
+            if self.blocks is not None:
+                C, D = self.blocks
+                N, J, k, n, _ = D.shape
+                S = C + (z[:, None, None] @ D.reshape(N, J, k, n * n)).reshape(N, J, n, n)
+                try:
+                    L = np.linalg.cholesky(S.reshape(-1, n, n))
+                except np.linalg.LinAlgError:   # find the points outside, one by one
+                    ok = ok & np.array([_has_cholesky(Si) for Si in S])
+        if np.count_nonzero(ok) < len(ok):
+            found = ok.copy()
+            found[ok], E, g = self.take(ok).whitened(z[ok], ok[ok])
+            return found, E, g
         cols = []
         if self.linear is not None:
-            c, G = self.linear
-            s = c + G @ z
-            if not np.all(s > 0):
-                return None
-            cols.append((G / s[:, None]).T)
+            cols.append((G / s[:, :, None]).swapaxes(1, 2))
         if self.blocks is not None:
-            C, D = self.blocks
-            J, k, n, _ = D.shape
-            S = C + (z @ D.reshape(J, k, n * n)).reshape(J, n, n)
-            try:
-                L = np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                return None
+            # The N * J blocks as one flat stack: numpy's 4-D matmul costs less.
             Li = np.linalg.inv(L)[:, None]
-            W = Li @ D @ Li.transpose(0, 1, 3, 2)
-            cols.append(W.transpose(1, 0, 2, 3).reshape(k, J * n * n))
-        E = np.hstack(cols)
-        return E, -(E @ self.trace_weights)
+            W = Li @ D.reshape(-1, k, n, n) @ Li.swapaxes(2, 3)
+            cols.append(W.reshape(N, J, k, n, n).swapaxes(1, 2).reshape(N, k, J * n * n))
+        E = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=2)
+        return ok, E, -(E @ self.trace_weights)
+
+
+def _has_cholesky(S):
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _dot(a, b):   # row-wise dot products of two (N, m) arrays
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # Radius of the norm bound on x, relative to 1 + |x0|.
@@ -450,61 +455,89 @@ def _phase_one(compiled, x0, t0, mu, max_steps):
 
     Damped Newton steps on ``-mu t - sum_j log det(slack_j) - log(rho^2 -
     |x|^2)``, with mu raised by ``PATH_GROWTH`` after each centering (Boyd &
-    Vandenberghe 2004, sec. 11.3-11.6).  Stops as soon as t > 0, once the
-    duality gap ``degree / mu`` of a centered point is below the verification
-    slack, or after ``max_steps`` steps.  Returns the last point and the
-    number of steps.
+    Vandenberghe 2004, sec. 11.3-11.6).  The N problems of ``compiled`` (one
+    row each of x0 and of t0, mu and max_steps) run in lockstep, each with
+    its own t, mu, damping, line search and step count.  A problem stops as
+    soon as t > 0, once the duality gap ``degree / mu`` of a centered point
+    is below the verification slack, or after ``max_steps`` steps, and
+    leaves the loop.  Returns the last points (N, d + 1) and the step counts.
     """
     d = compiled.dim
-    z = np.append(x0, t0)
-    rho2 = (BALL_FACTOR * (1.0 + float(np.linalg.norm(x0)))) ** 2
-    terms = compiled.whitened(z)   # None only if rounding puts z0 on the boundary
-    steps = 0
-    while terms is not None and steps < max_steps:
-        E, g = terms
-        x = z[:d]
-        r = rho2 - float(x @ x)
-        H = E @ E.T
-        H[:d, :d] += (2.0 / r) * np.eye(d) + (4.0 / r**2) * np.outer(x, x)
-        g[:d] += (2.0 / r) * x
-        g[d] -= mu
-        dz = -np.linalg.solve(H, g)
-        lam2 = float(-g @ dz)
+    z = np.concatenate([x0, t0[:, None]], axis=1)
+    steps = np.zeros(len(z), dtype=int)
+    xx = _dot(x0, x0)   # |x|^2 at each point, carried along
+    rho2 = (BALL_FACTOR * (1.0 + np.sqrt(xx))) ** 2
+    ok, E, g = compiled.whitened(z, max_steps > 0)   # not ok: rounding put z0 on the edge
+    live = np.flatnonzero(ok)
+    compiled = compiled.take(live)
+    zl, xx, mu, rho2, cap = z[live], xx[live], mu[live], rho2[live], max_steps[live]
+    eye = np.eye(d)
+    it = 0   # Newton iterations so far; a live problem has moved in each
+    while live.size:
+        x = zl[:, :d]
+        r = rho2 - xx
+        w = 2.0 / r
+        H = E @ E.swapaxes(1, 2)
+        H[:, :d, :d] += (w[:, None, None] * eye
+                         + (4.0 / r**2)[:, None, None] * (x[:, :, None] * x[:, None, :]))
+        g[:, :d] += w[:, None] * x
+        g[:, d] -= mu
+        step = np.linalg.solve(H, g[:, :, None])[:, :, 0]   # minus the Newton step
+        lam2 = _dot(g, step)
         # Full steps once the decrement is below 1/4, where Newton converges
         # quadratically; damped steps 1/(1 + lambda) before that keep a
         # self-concordant barrier inside its domain.  Halving only guards
-        # against rounding at the boundary.
-        alpha = 1.0 if lam2 < 0.0625 else 1.0 / (1.0 + np.sqrt(lam2))
-        terms = None
-        while terms is None and alpha > MIN_STEP:
-            z_new = z + alpha * dz
-            x_new = z_new[:d]
-            terms = compiled.whitened(z_new) if x_new @ x_new < rho2 else None
-            alpha *= 0.5
-        if terms is None:
-            break   # rounding has pinned z to the boundary
-        z = z_new
-        steps += 1
-        if z[d] > 0:
-            break
-        if lam2 < CENTERED:
-            if compiled.degree / mu < VERIFY_SLACK:
+        # against rounding at the boundary; a problem whose every trial
+        # point fails is pinned there.
+        alpha = 1.0 / (1.0 + np.sqrt(np.maximum(lam2, 0.0625)))
+        alpha[lam2 < 0.0625] = 1.0
+        search = alpha > MIN_STEP
+        moved = None   # None: every problem took its first trial step
+        while True:
+            z_new = zl - alpha[:, None] * step
+            xx_new = _dot(z_new[:, :d], z_new[:, :d])
+            ok, E_ok, g_ok = compiled.whitened(z_new, search & (xx_new < rho2))
+            if moved is None and np.count_nonzero(ok) == len(ok):
+                zl, xx, E, g = z_new, xx_new, E_ok, g_ok
                 break
-            mu *= PATH_GROWTH
+            zl[ok], xx[ok], E[ok], g[ok] = z_new[ok], xx_new[ok], E_ok, g_ok
+            moved = ok if moved is None else moved | ok
+            search &= ~ok
+            alpha[search] *= 0.5
+            search &= alpha > MIN_STEP
+            if not np.count_nonzero(search):
+                break
+        it += 1
+        done = (zl[:, d] > 0) | (cap <= it)
+        if moved is not None:
+            done |= ~moved
+        centered = lam2 < CENTERED
+        if np.count_nonzero(centered):
+            centered &= ~done
+            done |= centered & (compiled.degree / mu < VERIFY_SLACK)
+            mu[centered] *= PATH_GROWTH
+        if np.count_nonzero(done):
+            z[live[done]] = zl[done]
+            steps[live[done]] = it if moved is None else it - 1 + moved[done]
+            state = (live, zl, xx, mu, rho2, cap, E, g)
+            live, zl, xx, mu, rho2, cap, E, g = (a[~done] for a in state)
+            compiled = compiled.take(~done)
     return z, steps
 
 
 def judge(problem, assignment, target_margin=None, iterations=0):
     """Verify an assignment and wrap it as a solution: ``Verified`` when every
     constraint passes :func:`verify`, ``Unknown`` otherwise."""
-    reports = verify(problem, assignment, target_margin=target_margin)
-    return LmiSolution(
-        assignment=assignment,
-        achieved_margin=float(min(r.min_eig - r.required for r in reports)),
-        status="Verified" if all(r.ok for r in reports) else "Unknown",
-        reports=reports,
-        iterations=iterations,
-    )
+    return _judge_all([problem], [assignment], [target_margin], [iterations])[0]
+
+
+def _judge_all(problems, assignments, target_margins, iterations):
+    """:func:`judge` of many assignments by one :func:`_verify_all`."""
+    reports = _verify_all(problems, assignments, target_margins)
+    return [LmiSolution(assignment=a, reports=r, iterations=int(steps),
+                        achieved_margin=float(min(c.min_eig - c.required for c in r)),
+                        status="Verified" if all(c.ok for c in r) else "Unknown")
+            for a, r, steps in zip(assignments, reports, iterations)]
 
 
 def solve(problem, options=None):
@@ -513,16 +546,33 @@ def solve(problem, options=None):
     Deterministic.  Returns Verified only when :func:`verify` passes on every
     constraint; otherwise Unknown (never an infeasibility claim).
     """
-    options = options or SolveOptions()
-    compiled = _Compiled(problem, options.target_margin)
-    x0 = compiled.start(options.initial)
-    sol = judge(problem, compiled.unpack(x0), options.target_margin)
-    if sol.verified:
-        return sol
-    # The start point misses some margin, so its worst slack s0 is negative.
-    s0 = sol.achieved_margin
-    gap = START_GAP * abs(s0)
-    z, steps = _phase_one(compiled, x0, s0 - gap, compiled.degree / gap,
-                          options.max_iters)
-    return judge(problem, compiled.unpack(z[:-1]), options.target_margin,
-                 iterations=steps)
+    return _solve_all([problem], [options or SolveOptions()])[0]
+
+
+def _solve_all(problems, options):
+    """:func:`solve` of each problem: problems that share their variables and
+    constraint sizes are compiled as one stack, judged by one :func:`_verify_all`
+    at their start points and one at their results, and searched in lockstep."""
+    sols, groups = [None] * len(problems), {}
+    for i, p in enumerate(problems):
+        key = (tuple(p.variables), tuple(c.expr.dim for c in p.constraints))
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        probs, opts = [problems[i] for i in rows], [options[i] for i in rows]
+        margins = [o.target_margin for o in opts]
+        compiled = _Compiled(probs, margins)
+        x0 = compiled.start([o.initial for o in opts])
+        found = _judge_all(probs, compiled.unpack(x0), margins, [0] * len(rows))
+        # A start point that misses some margin has a negative worst slack s0.
+        todo = [j for j, sol in enumerate(found) if not sol.verified]
+        s0 = np.array([found[j].achieved_margin for j in todo])
+        gap = START_GAP * abs(s0)
+        z, steps = _phase_one(compiled.take(todo), x0[todo], s0 - gap, compiled.degree / gap,
+                              np.array([opts[j].max_iters for j in todo], dtype=int))
+        redone = _judge_all([probs[j] for j in todo], compiled.unpack(z[:, :-1]),
+                            [margins[j] for j in todo], steps)
+        for j, sol in zip(todo, redone):
+            found[j] = sol
+        for i, sol in zip(rows, found):
+            sols[i] = sol
+    return sols

@@ -94,23 +94,42 @@ def require_symmetric(M, name="matrix"):
     Raises ValueError if the asymmetry exceeds SYM_RTOL * (1 + |M|_max).
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    return _symmetric_blocks(M, name)
+
+
+def _symmetric_blocks(M, name):
+    """:func:`require_symmetric` on each block of a stack (..., n, n)."""
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    scale = 1.0 + float(np.max(np.abs(M)))
-    skew = float(np.max(np.abs(M - M.T)))
-    if skew > SYM_RTOL * scale:
+    MT = M.swapaxes(-1, -2)
+    scale = 1.0 + abs(M).max(axis=(-2, -1))
+    skew = abs(M - MT).max(axis=(-2, -1))
+    failed = skew > SYM_RTOL * scale
+    if np.count_nonzero(failed):
+        i, label = _first_failing(failed, name)
         raise ValueError(
-            f"{name} is not symmetric: |M - M^T|_max = {skew:.3e} "
-            f"exceeds {SYM_RTOL * scale:.3e}"
+            f"{label} is not symmetric: |M - M^T|_max = {skew[i]:.3e} "
+            f"exceeds {SYM_RTOL * scale[i]:.3e}"
         )
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + MT)
+
+
+def _first_failing(failed, name):
+    """Index and name of the first failed block of a stack (or matrix)."""
+    i = tuple(int(k) for k in np.argwhere(failed)[0])
+    return i, f"{name}[{', '.join(map(str, i))}]" if i else name
 
 
 def require_finite(M, name="matrix"):
-    """Return M as a float array; raise ValueError on NaN or Inf entries."""
-    M = np.asarray(M, dtype=float)
+    """Return M as a float array; raise ValueError on NaN, Inf or non-numbers."""
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a numeric array ({exc})") from None
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} must have finite entries")
     return M
@@ -135,23 +154,40 @@ def eig_sym(M, name="matrix"):
     Returns (w, V) with eigenvalues ``w`` ascending and orthonormal
     eigenvectors in the columns of ``V``.  The reconstruction
     V diag(w) V^T is checked against the input; a failure raises
-    EigenDecompositionError rather than silently returning garbage.
+    EigenDecompositionError rather than silently returning garbage.  On a
+    stack (..., n, n) each block is handled exactly as it would be alone,
+    and a failing block is named by its index.
     """
-    Ms = require_symmetric(M, name=name)
+    Ms = _symmetric_blocks(np.asarray(M, dtype=float), name)
     try:
         w, V = np.linalg.eigh(Ms)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(
             f"symmetric eigendecomposition of {name} did not converge: {exc}"
         ) from exc
-    scale = 1.0 + float(np.max(np.abs(Ms)))
-    resid = float(np.max(np.abs((V * w) @ V.T - Ms)))
-    if resid > 1e-10 * scale:
+    scale = 1.0 + abs(Ms).max(axis=(-2, -1))
+    resid = abs((V * w[..., None, :]) @ V.swapaxes(-1, -2) - Ms).max(axis=(-2, -1))
+    failed = resid > 1e-10 * scale
+    if np.count_nonzero(failed):
+        i, label = _first_failing(failed, name)
         raise EigenDecompositionError(
-            f"eigendecomposition of {name} failed reconstruction: "
-            f"residual {resid:.3e} vs allowed {1e-10 * scale:.3e}"
+            f"eigendecomposition of {label} failed reconstruction: "
+            f"residual {resid[i]:.3e} vs allowed {1e-10 * scale[i]:.3e}"
         )
     return w, V
+
+
+def _per_shape(mats, fn):
+    """``fn`` of the stack of each shape among ``mats``, one result per matrix."""
+    out = [None] * len(mats)
+    for shape in {M.shape for M in mats}:
+        rows = [i for i, M in enumerate(mats) if M.shape == shape]
+        for i, value in zip(rows, fn(np.array([mats[i] for i in rows]))):
+            out[i] = value
+    return out
+
+
+_KINDS = np.array(["PD", "ND", "PSD", "NSD", "Indefinite"])
 
 
 def definiteness(M, mode="PD", tol=None):
@@ -164,32 +200,33 @@ def definiteness(M, mode="PD", tol=None):
     * PSD: min_eig > -tol
     * ND:  max_eig < -tol
     * NSD: max_eig <  tol
+
+    On a stack (..., n, n) each block is judged as it would be alone, and
+    the verdict's fields are arrays over the stack.
     """
     if mode not in ("PD", "PSD", "ND", "NSD"):
         raise ValueError(f"unknown definiteness mode {mode!r}")
     w, _ = eig_sym(M)
     if tol is None:
-        tol = default_eig_tol(w)
-    if tol < 0:
+        tol = sign_tol(abs(w).max(axis=-1))
+    tol = np.asarray(tol, dtype=float)
+    if np.count_nonzero(tol < 0):
         raise ValueError("tol must be nonnegative")
-    lo, hi = float(w[0]), float(w[-1])
+    lo, hi = w[..., 0], w[..., -1]
     checks = {
         "PD": lo > tol,
         "PSD": lo > -tol,
         "ND": hi < -tol,
         "NSD": hi < tol,
     }
-    if checks["PD"]:
-        kind = "PD"
-    elif checks["ND"]:
-        kind = "ND"
-    elif checks["PSD"]:
-        kind = "PSD"
-    elif checks["NSD"]:
-        kind = "NSD"
-    else:
-        kind = "Indefinite"
-    return DefinitenessVerdict(kind, lo, hi, float(tol), checks[mode])
+    # The strongest class: the first of _KINDS whose check passes.
+    kind = _KINDS[np.argmax([checks["PD"], checks["ND"], checks["PSD"],
+                             checks["NSD"], np.ones_like(lo, dtype=bool)], axis=0)]
+    if w.ndim == 1:
+        return DefinitenessVerdict(str(kind), float(lo), float(hi), float(tol),
+                                   bool(checks[mode]))
+    return DefinitenessVerdict(kind, lo, hi, np.broadcast_to(tol, lo.shape),
+                               checks[mode])
 
 
 def inertia(M, tol=None):

@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .network import (
     simulate,
     stability_report,
 )
-from .synthesis import joint_decentralized_synthesis
+from .synthesis import _joint_synthesis_all
 
 __all__ = [
     "DguParams",
@@ -131,25 +130,10 @@ class MicrogridSpec:
         return 1.0 / self.line_resistance
 
     def to_json_dict(self):
-        d = {
-            "n_dgus": self.n_dgus,
-            "topology_seed": self.topology_seed,
-            "param_seed": self.param_seed,
-            "baseline_seed": self.baseline_seed,
-            "synth_seed": self.synth_seed,
-            "perturb_seed": self.perturb_seed,
-            "m_attach": self.m_attach,
-            "line_resistance": self.line_resistance,
-            "line_weight": self.line_weight,
-            "h": self.h,
-            "discretization": self.discretization,
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "fig_stepsizes": list(self.fig_stepsizes),
-            "sim_steps": self.sim_steps,
-        }
-        if self.s_shared is not None:
-            d["s_shared"] = self.s_shared
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["fig_stepsizes"] = list(self.fig_stepsizes)
+        if self.s_shared is None:
+            del d["s_shared"]
         return d
 
     @classmethod
@@ -276,12 +260,9 @@ def _baseline_gains(spec):
 
 
 def _synthesize_all(spec, dt_nodes, degrees):
-    """Per-node joint synthesis; returns the certificates and failed indices."""
-    results = [
-        joint_decentralized_synthesis(
-            node, spec.variant, degree, alpha=spec.alpha, s_shared=spec.s_shared)
-        for node, degree in zip(dt_nodes, degrees)
-    ]
+    """Joint synthesis of all nodes in lockstep: (certificates, failed indices)."""
+    results = _joint_synthesis_all(dt_nodes, spec.variant, degrees,
+                                   alpha=spec.alpha, s_shared=spec.s_shared)
     certificates = [r[0] if r is not None else None for r in results]
     failures = [i for i, r in enumerate(results) if r is None]
     return certificates, failures
@@ -490,19 +471,20 @@ def write_eig_csv(path, label, eigenvalues):
 def write_trajectory_csv(path, traj, h, node_dims):
     """Long-format trajectory table: step, time_s, node, state_index, value.
 
-    Streams one step's rows at a time, in the text of :func:`write_csv`.
+    Streams one step at a time: a %-template in the text of :func:`write_csv`.
     """
-    nodes = [str(node) for node, dim in enumerate(node_dims) for _ in range(dim)]
-    indices = [str(j) for dim in node_dims for j in range(dim)]
-    fmt = "{:.17g}".format
+    rows = "".join(f"{{0}},{{1}},{node},{j},%.17g\r\n"
+                   for node, dim in enumerate(node_dims) for j in range(dim))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time_s", "node", "state_index", "value"])
+        fh.write("step,time_s,node,state_index,value\r\n")
         for k, x in enumerate(traj.states):
-            step, time_s = repeat(str(k)), repeat(_fmt(k * h))
-            writer.writerows(zip(step, time_s, nodes, indices, map(fmt, x.tolist())))
+            fh.write(rows.format(k, _fmt(k * h)) % tuple(x.tolist()))
 
 
 def write_region_csv(path, rows):
-    write_csv(path, ["Q", "S", "R", "mask"],
-              [[r[0], r[1], r[2], int(r[3])] for r in rows])
+    """Grid rows (Q, S, R, mask) as %-templates in the text of :func:`write_csv`."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    with open(path, "w", newline="") as fh:
+        fh.write("Q,S,R,mask\r\n")
+        for chunk in np.split(rows, range(10000, len(rows), 10000)):
+            fh.write("%.17g,%.17g,%.17g,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))

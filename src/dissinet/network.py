@@ -24,6 +24,7 @@ import scipy.sparse
 from .dissipativity import LinearNode, SupplyRate
 from .graph import WeightedGraph, laplacian_bundle
 from .matrix_core import (
+    _per_shape,
     block_diag,
     definiteness,
     default_eig_tol,
@@ -111,14 +112,18 @@ class Interconnection:
     def from_json_dict(cls, d):
         kind = d["kind"]
         if kind == "general":
-            return cls.general(np.array(d["H"], dtype=float))
+            return cls.general(d["H"])
+        key = "m" if kind == "feedback2" else "block"
+        block = d.get(key, 1)
+        if isinstance(block, bool) or not isinstance(block, int) or block < 1:
+            raise ValueError(f"interconnection {key!r} must be a positive integer, "
+                             f"got {block!r}")
         if kind == "laplacian":
-            return cls.laplacian(WeightedGraph.from_json_dict(d["graph"]),
-                                 d.get("block", 1))
+            return cls.laplacian(WeightedGraph.from_json_dict(d["graph"]), block)
         if kind == "skew":
-            return cls.skew(np.array(d["adjacency"], dtype=float), d.get("block", 1))
+            return cls.skew(d["adjacency"], block)
         if kind == "feedback2":
-            return cls.feedback2(d.get("m", 1))
+            return cls.feedback2(block)
         raise ValueError(f"unknown interconnection kind {kind!r}")
 
 
@@ -298,20 +303,17 @@ def dual_global_condition(dual_supplies, H, tol=None):
     primal triples.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    for i, ds in enumerate(dual_supplies):
-        if not definiteness(ds.Q, "ND", tol).satisfied:
-            raise ValueError(f"dual supply {i} violates Q < 0")
-        if not definiteness(ds.R, "PD", tol).satisfied:
-            raise ValueError(f"dual supply {i} violates R > 0")
+    signs = [_per_shape([getattr(s, key) for s in dual_supplies],
+                        lambda M, mode=mode: definiteness(M, mode, tol).satisfied)
+             for key, mode in (("Q", "ND"), ("R", "PD"))]
+    for i, (q_ok, r_ok) in enumerate(zip(*signs)):
+        if not (q_ok and r_ok):
+            raise ValueError(f"dual supply {i} violates {'R > 0' if q_ok else 'Q < 0'}")
     Qd = block_diag([s.Q for s in dual_supplies])
     Sd = block_diag([s.S for s in dual_supplies])
     Rd = block_diag([s.R for s in dual_supplies])
     M = symmetrize(H @ Qd @ H.T - H @ Sd - Sd.T @ H.T + Rd)
     return M, definiteness(M, "PD", tol)
-
-
-def _equality(A, B, tol):
-    return float(np.max(np.abs(A - B))) <= tol
 
 
 @dataclass(frozen=True)
@@ -338,16 +340,21 @@ class _Bound:
                 out = out + c * X
         return out
 
-    def holds(self, Q, S, R, tol=None):
-        M = symmetrize(self.value(Q, S, R, np.eye(S.shape[0])))
-        return definiteness(M, "PD" if self.strict else "PSD", tol).satisfied
-
     def holds_elementwise(self, Q, S, R):
         """The same decision on scalar triples, with the check's default
         tolerance; Q, S, R broadcast."""
         x = self.value(Q, S, R, 1.0)
         tol = sign_tol(x)
         return x > tol if self.strict else x > -tol
+
+
+def _all_hold(rows, Q, S, R, tol=None):
+    """Whether every bound holds, by one stacked definiteness call (PD if strict)."""
+    if not rows:
+        return True
+    M = np.array([b.value(Q, S, R, np.eye(S.shape[0])) for b in rows])
+    v = definiteness(0.5 * (M + M.swapaxes(1, 2)), "PSD", tol)
+    return bool(np.all(np.where([b.strict for b in rows], v.kind == "PD", v.satisfied)))
 
 
 def _bound_rows(variant, degree, alpha=None):
@@ -411,9 +418,9 @@ def decentralized_check(degree, sr, variant, alpha=None, s_shared=None, tol=None
         S = require_symmetric(sr.S, "S")
     else:
         eq_tol = tol if tol is not None else 1e-9 * (1.0 + float(np.max(np.abs(sr.S))))
-        if not _equality(sr.S, S, eq_tol):
+        if float(np.max(np.abs(sr.S - S))) > eq_tol:
             return False
-    return all(b.holds(sr.Q, S, sr.R, tol) for b in rows)
+    return _all_hold(rows, sr.Q, S, sr.R, tol)
 
 
 def dual_decentralized_check(degree, dsr, variant, alpha=None, s_shared=None,
@@ -613,7 +620,7 @@ def simulate(net, x0, steps, overflow_limit=1e12):
     if x.size != xs[-1].stop:
         raise ValueError(f"x0 must have {xs[-1].stop} entries, got {x.size}")
     A, G, C = _stacked_blocks(net.nodes, net.controllers or [None] * net.n_nodes)
-    H = net.H()
+    H = scipy.sparse.csr_array(net.H())  # a non-finite y_j reaches only u_i with H_ij != 0
     nonlinear = [s for s in zip(net.nodes, xs, us, ys) if not isinstance(s[0], LinearNode)]
 
     states = np.zeros((steps + 1, x.size))
@@ -639,7 +646,9 @@ def simulate(net, x0, steps, overflow_limit=1e12):
     if net.certificates is not None and all(c is not None for c in net.certificates):
         P = scipy.sparse.block_diag([c.storage_matrix for c in net.certificates],
                                     format="csr")
-        storage = np.einsum("ki,ik->k", states[:end], P @ states[:end].T)
+        # A few hundred steps at a time bounds the temporary copies.
+        storage = np.concatenate([np.einsum("ki,ik->k", X, P @ X.T)
+                                  for X in np.split(states[:end], range(256, end, 256))])
     return Trajectory(states=states[:end], outputs=outputs[:end], inputs=inputs[:end],
                       storage=storage, node_slices=xs, truncated=bool(message),
                       message=message)

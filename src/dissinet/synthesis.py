@@ -37,11 +37,11 @@ from .lmi import (
     LmiProblem,
     MatrixVariable,
     SolveOptions,
-    judge,
-    solve,
+    _judge_all,
+    _solve_all,
 )
 from .matrix_core import definiteness, eig_sym, symmetrize
-from .network import _validated_bounds, dual_decentralized_check
+from .network import _all_hold, _validated_bounds, dual_decentralized_check
 
 __all__ = [
     "SynthesisRequest",
@@ -111,23 +111,26 @@ def _auto_margin(consts):
     return 1e-6 * (1.0 + scale)
 
 
-def _solve_with_margin_fallback(problem, consts, options, initial=None):
-    """Solve once at the relative margin; when the point falls short, judge
-    it again at a tighter and at a zero margin.
+def _solve_with_margin_fallback(problems, consts, options, initials):
+    """Solve each problem once at its relative margin, all in lockstep; a
+    point that falls short is judged again at a tighter and at a zero margin.
+    None stands for a problem with no verified point.
 
     Boundary-feasible problems (the dissipation inequality can hold with
     equality only) verify only at margin zero.
     """
-    base = options.margin if options.margin is not None else _auto_margin(consts)
-    lower = [] if options.margin is not None else [base * 1e-3, 0.0]
-    sol = solve(problem, SolveOptions(max_iters=options.max_iters,
-                                      target_margin=base, initial=initial))
-    for margin in lower:
-        if sol.verified:
-            break
-        sol = judge(problem, sol.assignment, target_margin=margin,
-                    iterations=sol.iterations)
-    return sol if sol.verified else None
+    bases = [options.margin if options.margin is not None else _auto_margin(c)
+             for c in consts]
+    sols = _solve_all(problems, [SolveOptions(options.max_iters, base, initial)
+                                 for base, initial in zip(bases, initials)])
+    for factor in [] if options.margin is not None else [1e-3, 0.0]:
+        todo = [i for i, sol in enumerate(sols) if not sol.verified]
+        redone = _judge_all([problems[i] for i in todo], [sols[i].assignment for i in todo],
+                            [bases[i] * factor for i in todo],
+                            [sols[i].iterations for i in todo])
+        for i, sol in zip(todo, redone):
+            sols[i] = sol
+    return [sol if sol.verified else None for sol in sols]
 
 
 def _invert_pd(P, name="P"):
@@ -208,7 +211,7 @@ def primal_control(node, sr, options=None):
             LmiConstraint(pos.expr(), "geq", name="P_pd"),
         ],
     )
-    sol = _solve_with_margin_fallback(problem, [design.constant], options)
+    sol = _solve_with_margin_fallback([problem], [[design.constant]], options, [None])[0]
     if sol is None:
         return None
     return _certificate(
@@ -276,7 +279,7 @@ def dual_control(node, dsr, options=None):
             LmiConstraint(pos.expr(), "geq", name="P_pd"),
         ],
     )
-    sol = _solve_with_margin_fallback(problem, [design.constant], options)
+    sol = _solve_with_margin_fallback([problem], [[design.constant]], options, [None])[0]
     if sol is None:
         return None
     primal = primalize_supply(dsr)
@@ -313,13 +316,30 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
     passed the closed-loop check; the dual triple has passed
     :func:`dissinet.network.dual_decentralized_check`.
     """
+    return _joint_synthesis_all([node], variant, [degree], alpha, s_shared, options)[0]
+
+
+def _joint_synthesis_all(nodes, variant, degrees, alpha=None, s_shared=None,
+                         options=None):
+    """:func:`joint_decentralized_synthesis` of each node, solved in lockstep."""
     options = options or SynthesisOptions()
+    jobs = [_joint_problem(node, variant, degree, alpha, s_shared)
+            for node, degree in zip(nodes, degrees)]
+    sols = _solve_with_margin_fallback([j[0] for j in jobs], [j[1] for j in jobs],
+                                       options, [j[2] for j in jobs])
+    return [None if sol is None else
+            _joint_result(node, sol, job[3], variant, degree, alpha, s_shared, options)
+            for node, degree, job, sol in zip(nodes, degrees, jobs, sols)]
+
+
+def _joint_problem(node, variant, degree, alpha, s_shared):
+    """One node's joint LMI: (problem, margin constants, warm start, pinned Sd)."""
     _require_dt_no_feedthrough(node)
     Sd_fixed, bounds = _validated_bounds(variant, degree, node.m, node.p,
                                          alpha, s_shared)
     zero = np.zeros((node.m, node.m))
-    if Sd_fixed is not None and not all(
-            b.holds(zero, Sd_fixed, zero) for b in bounds if b.on_s_only):
+    if Sd_fixed is not None and not _all_hold(
+            [b for b in bounds if b.on_s_only], zero, Sd_fixed, zero):
         raise ValueError(f"variant {variant!r} needs s_shared >= 0")
 
     n, r, m, p = node.n, node.r, node.m, node.p
@@ -370,10 +390,11 @@ def joint_decentralized_synthesis(node, variant, degree, alpha=None,
     if Sd_fixed is None:
         initial["Sd"] = eye / (6.0 * degree)
 
-    sol = _solve_with_margin_fallback(
-        problem, [design.constant, eye / (2.0 * degree)], options, initial=initial)
-    if sol is None:
-        return None
+    return problem, [design.constant, eye / (2.0 * degree)], initial, Sd_fixed
+
+
+def _joint_result(node, sol, Sd_fixed, variant, degree, alpha, s_shared, options):
+    """(certificate, dual triple) of a verified joint solution, or None."""
     Qd = symmetrize(sol.assignment["Qd"])
     Rd = symmetrize(sol.assignment["Rd"])
     Sd = Sd_fixed if Sd_fixed is not None else symmetrize(sol.assignment["Sd"])

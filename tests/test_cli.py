@@ -140,7 +140,12 @@ class TestCheck:
          "interconnection": {"kind": "laplacian",
                              "graph": {"n": None, "edges": []}}},
         {"nodes": [1], "interconnection": {"kind": "general", "H": [[0.0]]}},
-    ], ids=["graph-n-null", "node-not-object"])
+        {"nodes": [LinearNode([[0.5]], [[1.0]], [[0.1]], [[1.0]]).to_json_dict()],
+         "interconnection": {"kind": "laplacian", "graph": {"n": 1, "edges": []},
+                             "block": None}},
+        {"nodes": [{"A": {}, "B": [[1.0]], "G": [[0.1]], "C": [[1.0]]}],
+         "interconnection": {"kind": "general", "H": [[0.0]]}},
+    ], ids=["graph-n-null", "node-not-object", "block-null", "node-A-object"])
     def test_wrongly_typed_network_is_input_error(self, tmp_path, capsys, doc):
         path = tmp_path / "net.json"
         write_json(path, doc)

@@ -29,6 +29,69 @@ def test_require_symmetric_rejects_asymmetry():
         require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def random_stack(rng, k=40, n=5):
+    return np.array([random_sym_with_eigs(rng, n, -3, 3) for _ in range(k)])
+
+
+def test_stacked_eig_sym_equals_looped_calls():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5):
+        stack = random_stack(rng, n=n)
+        w, V = eig_sym(stack)
+        for i, M in enumerate(stack):
+            wi, Vi = eig_sym(M)
+            assert np.array_equal(w[i], wi) and np.array_equal(V[i], Vi)
+    w, _ = eig_sym(stack.reshape(4, 10, 5, 5))
+    assert np.array_equal(w.reshape(40, 5), eig_sym(stack)[0])
+
+
+def test_stacked_definiteness_equals_looped_calls():
+    rng = np.random.default_rng(4)
+    stack = random_stack(rng)
+    stack[3] = np.zeros((5, 5))
+    stack[4] = np.eye(5)
+    stack[5] = -np.eye(5)
+    stack[6] = np.diag([0.0, 0.0, 1.0, 2.0, 3.0])
+    stack[7] = -stack[6]
+    for mode in ("PD", "PSD", "ND", "NSD"):
+        for tol in (None, 0.0, 0.5):
+            v = definiteness(stack, mode, tol)
+            for i, M in enumerate(stack):
+                vi = definiteness(M, mode, tol)
+                assert (v.kind[i], v.min_eig[i], v.max_eig[i], v.tol_used[i],
+                        v.satisfied[i]) == (vi.kind, vi.min_eig, vi.max_eig,
+                                            vi.tol_used, vi.satisfied)
+    assert set(definiteness(stack).kind) == {"PD", "ND", "PSD", "NSD", "Indefinite"}
+
+
+def test_single_matrix_verdict_has_scalar_fields():
+    v = definiteness(np.eye(2), "PD")
+    assert type(v.kind) is str and type(v.satisfied) is bool
+    assert type(v.min_eig) is float and type(v.tol_used) is float
+
+
+def test_stacked_eig_sym_names_an_asymmetric_block():
+    stack = random_stack(np.random.default_rng(5))
+    stack[17, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match=r"blocks\[17\] is not symmetric"):
+        eig_sym(stack, name="blocks")
+
+
+def test_stacked_eig_sym_names_a_block_that_fails_reconstruction(monkeypatch):
+    stack = random_stack(np.random.default_rng(6))
+    eigh = np.linalg.eigh
+
+    def corrupted(M):
+        w, V = eigh(M)
+        w = w.copy()
+        w[..., 9, 0] += 1e-3   # block 9 no longer reconstructs its input
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(EigenDecompositionError, match=r"blocks\[9\] failed reconstruction"):
+        eig_sym(stack, name="blocks")
+
+
 def test_eig_sym_identity():
     w, V = eig_sym(np.eye(3))
     assert np.allclose(w, [1, 1, 1])

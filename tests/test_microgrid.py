@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -21,10 +22,13 @@ from dissinet.microgrid import (
     feasible_region_sample,
     run_pipeline,
     sample_params,
+    write_region_csv,
+    write_trajectory_csv,
     zoh_discretize,
 )
 from dissinet.network import (
     Interconnection,
+    Trajectory,
     decentralized_check,
     global_condition,
     stability_report,
@@ -412,3 +416,53 @@ class TestFeasibleRegion:
             supplies = [SupplyRate([[q]], [[s]], [[r]])] * 2
             M, _ = global_condition(supplies, H)
             assert np.linalg.eigvalsh(M)[-1] < -1e-10
+
+
+def reference_csv(path, header, rows):
+    """The writers' format, cell by cell through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else
+                             str(v) if isinstance(v, (int, np.integer)) else
+                             f"{float(v):.17g}" for v in row])
+
+
+EDGE_VALUES = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+               0.1, 1.0 / 3.0, 123456789.0, 2.0**-1074 * 3]
+
+
+class TestWriters:
+    def test_trajectory_csv_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        states[1, :] = EDGE_VALUES[:5]
+        states[2, :] = EDGE_VALUES[5:10]
+        states[3, :3] = EDGE_VALUES[10:]
+        traj = Trajectory(states=states, outputs=states[:, :1], inputs=states[:, :1])
+        dims = [2, 1, 2]
+        for h in (1e-3, 0.1, 5e-324, 1e300):
+            write_trajectory_csv(tmp_path / "fast.csv", traj, h, dims)
+            reference_csv(tmp_path / "ref.csv", ["step", "time_s", "node", "state_index", "value"],
+                          [[k, k * h, node, j, x[i]]
+                           for k, x in enumerate(states)
+                           for i, (node, j) in enumerate(
+                               (node, j) for node, dim in enumerate(dims) for j in range(dim))])
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_region_csv_matches_csv_writer(self, tmp_path, as_list):
+        rows = feasible_region_sample(0.5, resolution=(30, 21, 40))   # 25,200 rows
+        rows[:len(EDGE_VALUES), 0] = EDGE_VALUES
+        rows[:len(EDGE_VALUES), 2] = EDGE_VALUES[::-1]
+        rows[:3, 3] = [0.0, 15.0, 3.0]
+        given = [list(r) for r in rows] if as_list else rows
+        write_region_csv(tmp_path / "fast.csv", given)
+        reference_csv(tmp_path / "ref.csv", ["Q", "S", "R", "mask"],
+                      [[r[0], r[1], r[2], int(r[3])] for r in rows])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_region_csv_has_the_header_only(self, tmp_path):
+        write_region_csv(tmp_path / "r.csv", [])
+        assert (tmp_path / "r.csv").read_bytes() == b"Q,S,R,mask\r\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -463,10 +465,13 @@ class TestSimulate:
 
     def test_non_finite_state_stays_in_its_node(self):
         net = make_network([0.5, 0.3, 0.2])
-        with np.errstate(invalid="ignore"):  # u = H y is dense: 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             traj = simulate(net, np.array([np.inf, 1.0, 2.0]), 10)
         assert traj.truncated and traj.states.shape[0] == 1
         assert np.array_equal(traj.outputs[0], [np.inf, 1.0, 2.0])
+        # u = H y with a sparse H: only node 0's neighbour sees the inf
+        assert np.array_equal(traj.inputs[0], [-np.inf, np.inf, -1.0])
 
     @pytest.mark.parametrize("a_last, truncates", [(0.7, False), (3.0, True)])
     def test_matches_per_node_reference(self, a_last, truncates):

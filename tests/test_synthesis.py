@@ -231,12 +231,12 @@ def recorded_solves(monkeypatch):
     """Route synthesis through a recorder of every LMI solution."""
     solutions = []
 
-    def recording(problem, options=None):
-        sol = lmi.solve(problem, options)
-        solutions.append(sol)
-        return sol
+    def recording(problems, options):
+        sols = lmi._solve_all(problems, options)
+        solutions.extend(sols)
+        return sols
 
-    monkeypatch.setattr(synthesis, "solve", recording)
+    monkeypatch.setattr(synthesis, "_solve_all", recording)
     return solutions
 
 
@@ -283,6 +283,128 @@ class TestMicrogridUnits:
         assert dual_control(node, dsr) is not None
         assert len(solutions) == 1
         assert not solutions[0].verified
+
+
+def recorded_problems(monkeypatch, run):
+    """The (problem, options) pairs that ``run`` hands the solver."""
+    seen = []
+
+    def recording(problems, options):
+        seen.extend(zip(problems, options))
+        return lmi._solve_all(problems, options)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_solve_all", recording)
+        run()
+    return seen
+
+
+def stage_jobs(h, n_dgus=100):
+    """The joint LMIs of one demo-microgrid step size, with the options the
+    pipeline solves them with."""
+    spec = MicrogridSpec(n_dgus=n_dgus)
+    bundle, _, ct_nodes = _microgrid_population(spec)
+    problems, options = [], []
+    for node, degree in zip(ct_nodes, bundle.degrees):
+        problem, consts, initial, _ = synthesis._joint_problem(
+            zoh_discretize(node, h), spec.variant, degree, spec.alpha, None)
+        problems.append(problem)
+        options.append(lmi.SolveOptions(target_margin=synthesis._auto_margin(consts),
+                                        initial=initial))
+    return problems, options
+
+
+def assert_same_solution(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.achieved_margin == b.achieved_margin
+    assert a.assignment.keys() == b.assignment.keys()
+    for name in a.assignment:
+        assert np.array_equal(a.assignment[name], b.assignment[name]), name
+    assert [r.min_eig for r in a.reports] == [r.min_eig for r in b.reports]
+    assert [r.required for r in a.reports] == [r.required for r in b.reports]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("h", [1e-4, 1e-3, 5e-3])
+    def test_stage_equals_single_solves(self, h):
+        # a stage solved as one batch gives every node exactly the solution
+        # it gets alone
+        problems, options = stage_jobs(h)
+        batch = lmi._solve_all(problems, options)
+        for problem, opts, sol in zip(problems, options, batch):
+            assert sol.verified
+            assert_same_solution(sol, lmi.solve(problem, opts))
+
+    def test_verified_start_point_comes_back_unchanged(self):
+        # a node whose warm start already verifies takes no step inside a
+        # batch of nodes that do
+        problems, options = stage_jobs(1e-3, n_dgus=6)
+        alone = [lmi.solve(p, o) for p, o in zip(problems, options)]
+        assert all(s.verified and s.iterations > 0 for s in alone)
+        held = lmi.SolveOptions(target_margin=options[2].target_margin,
+                                initial=alone[2].assignment)
+        batch = lmi._solve_all(problems, options[:2] + [held] + options[3:])
+        assert batch[2].verified and batch[2].iterations == 0
+        for name, value in alone[2].assignment.items():
+            assert np.array_equal(batch[2].assignment[name], value)
+        for i in (0, 1, 3, 4, 5):
+            assert_same_solution(batch[i], alone[i])
+
+    def test_mixed_structures_are_grouped(self):
+        # problems of different structures in one call are solved in their
+        # own groups and come back in order
+        joint, joint_opts = stage_jobs(1e-3, n_dgus=3)
+        scalar = lmi.LmiProblem(
+            variables=[lmi.MatrixVariable("x", (1, 1))],
+            constraints=[lmi.LmiConstraint(lmi.BlockForm([1]).put_var(0, 0, "x").expr())],
+            margin=5.0)
+        problems = [joint[0], scalar, joint[1], scalar, joint[2]]
+        options = [joint_opts[0], lmi.SolveOptions(), joint_opts[1],
+                   lmi.SolveOptions(max_iters=1), joint_opts[2]]
+        batch = lmi._solve_all(problems, options)
+        for problem, opts, sol in zip(problems, options, batch):
+            assert_same_solution(sol, lmi.solve(problem, opts))
+        assert batch[3].iterations == 1
+
+    def test_backtracking_in_a_batch_equals_single_solves(self, monkeypatch):
+        # random primal problems whose damped steps sometimes leave the
+        # domain, so the line search halves some problems' steps while the
+        # rest of the batch moves on
+        rng = np.random.default_rng(404)
+        problems, options = [], []
+        for k in range(1, 80):
+            node = random_stable_node(rng, 1 + k % 2)
+            if node.n == 2:
+                problems += recorded_problems(monkeypatch, lambda: primal_control(
+                    node, REFERENCE_SUPPLY, SynthesisOptions(max_iters=800)))
+        problems, options = zip(*problems)
+        failed_trials = []
+        whitened = lmi._Compiled.whitened
+
+        def counting(self, z, trial):
+            ok, E, g = whitened(self, z, trial)
+            failed_trials.append(np.count_nonzero(trial) - np.count_nonzero(ok))
+            return ok, E, g
+
+        monkeypatch.setattr(lmi._Compiled, "whitened", counting)
+        batch = lmi._solve_all(list(problems), list(options))
+        assert sum(failed_trials) > 0
+        for problem, opts, sol in zip(problems, options, batch):
+            assert_same_solution(sol, lmi.solve(problem, opts))
+
+    def test_pipeline_stage_equals_per_node_synthesis(self):
+        spec = MicrogridSpec(n_dgus=12)
+        bundle, _, ct_nodes = _microgrid_population(spec)
+        nodes = [zoh_discretize(node, 1e-3) for node in ct_nodes]
+        batch = synthesis._joint_synthesis_all(nodes, spec.variant, bundle.degrees,
+                                               alpha=spec.alpha)
+        for node, degree, res in zip(nodes, bundle.degrees, batch):
+            single = joint_decentralized_synthesis(node, spec.variant, degree,
+                                                   alpha=spec.alpha)
+            assert np.array_equal(res[0].K, single[0].K)
+            assert np.array_equal(res[0].storage_matrix, single[0].storage_matrix)
+            assert res[0].margin == single[0].margin
+            assert np.array_equal(res[1].Q, single[1].Q)
 
 
 class TestSynthesisRequest:
